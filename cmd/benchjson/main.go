@@ -14,13 +14,6 @@
 // frame benchmark must stay under the 33 ms frame deadline no matter what
 // the baseline says.
 //
-// With -speedup-new / -speedup-old / -min-speedup it gates one benchmark's
-// throughput against another from the SAME run — a self-calibrating ratio
-// gate immune to runner speed: the packed int16×4 transform must stay
-// ≥1.5× faster per block than the scalar fixed-point tier, regardless of
-// what machine CI landed on. -speedup-batch divides the new benchmark's
-// ns/op first, for kernels that fold several ops into one iteration.
-//
 // Usage:
 //
 //	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -out BENCH_bench.json
@@ -67,10 +60,6 @@ func main() {
 	match := flag.String("match", "", "regexp over benchmark names selecting which baseline entries are gated (with -baseline; empty = all)")
 	ceilingMs := flag.Float64("ceiling-ms", 0, "absolute ns/op ceiling in milliseconds for benchmarks matching -ceiling-match (0 = off)")
 	ceilingMatch := flag.String("ceiling-match", "", "regexp over benchmark names the -ceiling-ms gate applies to")
-	speedupNew := flag.String("speedup-new", "", "benchmark name whose per-op time is gated against -speedup-old")
-	speedupOld := flag.String("speedup-old", "", "reference benchmark name for the -min-speedup ratio gate")
-	minSpeedup := flag.Float64("min-speedup", 0, "required old/new per-op ratio (0 = off; requires -speedup-new and -speedup-old)")
-	speedupBatch := flag.Int("speedup-batch", 1, "ops folded into one iteration of -speedup-new (its ns/op is divided by this)")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -140,58 +129,6 @@ func main() {
 		}
 	}
 
-	if *minSpeedup > 0 {
-		if *speedupNew == "" || *speedupOld == "" {
-			fatal(fmt.Errorf("-min-speedup requires -speedup-new and -speedup-old"))
-		}
-		ok, report := speedup(res, *speedupNew, *speedupOld, *minSpeedup, *speedupBatch)
-		fmt.Fprint(os.Stderr, report)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: %s is not %.2fx faster than %s\n", *speedupNew, *minSpeedup, *speedupOld)
-			os.Exit(1)
-		}
-	}
-}
-
-// speedup enforces a same-run throughput ratio: the benchmark named newName
-// must average under oldName's ns/op divided by minRatio, after dividing
-// newName's ns/op by batch (for kernels whose one iteration covers several
-// ops of the reference). Comparing two benchmarks from the same binary on
-// the same core makes the gate independent of absolute runner speed, unlike
-// the -ceiling-ms budget. Either benchmark missing fails the gate.
-func speedup(cur *output, newName, oldName string, minRatio float64, batch int) (ok bool, report string) {
-	if batch < 1 {
-		batch = 1
-	}
-	find := func(name string) (Benchmark, bool) {
-		for _, b := range cur.Benchmarks {
-			if b.Name == name {
-				return b, true
-			}
-		}
-		return Benchmark{}, false
-	}
-	nb, okN := find(newName)
-	ob, okO := find(oldName)
-	if !okN || !okO {
-		missing := newName
-		if okN {
-			missing = oldName
-		}
-		return false, fmt.Sprintf("MISSING %s: not in this run, speedup gate cannot hold\n", missing)
-	}
-	perOp := nb.NsPerOp / float64(batch)
-	if perOp <= 0 {
-		return false, fmt.Sprintf("DEGENERATE %s: %.1f ns/op\n", newName, nb.NsPerOp)
-	}
-	ratio := ob.NsPerOp / perOp
-	verdict := "ok"
-	if ratio < minRatio {
-		verdict = "SLOW"
-	}
-	report = fmt.Sprintf("%-9s %s: %.1f ns/op (/%d) vs %s %.1f ns/op = %.2fx, need ≥%.2fx\n",
-		verdict, newName, nb.NsPerOp, batch, oldName, ob.NsPerOp, ratio, minRatio)
-	return ratio >= minRatio, report
 }
 
 // ceiling enforces an absolute budget: every benchmark in the run matching

@@ -442,15 +442,6 @@ func mcMB(ref, dst *vmath.Plane, cx, cy int, mv MV, w, h int) {
 // codeIntraMB codes the four 8×8 blocks of a macroblock against the flat
 // predictor 128 and reconstructs into recon.
 func (e *Encoder) codeIntraMB(frame, recon *vmath.Plane, cx, cy int, q float32, w *bits.Writer) {
-	if xf.fdct4x != nil {
-		var blks [4][64]float32
-		gatherIntra4(frame, cx, cy, &blks)
-		rec := codeMB4(&blks, q, w)
-		for b := 0; b < 4; b++ {
-			writeBlock(recon, cx+(b&1)*blockSize, cy+(b>>1)*blockSize, &rec[b], 128)
-		}
-		return
-	}
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
 			x0 := cx + bx*blockSize
@@ -469,25 +460,6 @@ func (e *Encoder) codeIntraMB(frame, recon *vmath.Plane, cx, cy int, q float32, 
 
 // codeInterMB codes the motion-compensated residual of a macroblock.
 func (e *Encoder) codeInterMB(frame, recon *vmath.Plane, cx, cy int, mv MV, q float32, w *bits.Writer) {
-	if xf.fdct4x != nil {
-		var blks, pred [4][64]float32
-		for b := 0; b < 4; b++ {
-			x0 := cx + (b&1)*blockSize
-			y0 := cy + (b>>1)*blockSize
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					p := e.ref.AtClamp(x0+x+mv.X, y0+y+mv.Y)
-					pred[b][y*8+x] = p
-					blks[b][y*8+x] = frame.AtClamp(x0+x, y0+y) - p
-				}
-			}
-		}
-		rec := codeMB4(&blks, q, w)
-		for b := 0; b < 4; b++ {
-			writeInterBlock(recon, cx+(b&1)*blockSize, cy+(b>>1)*blockSize, &pred[b], &rec[b])
-		}
-		return
-	}
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
 			x0 := cx + bx*blockSize
@@ -751,16 +723,6 @@ func (d *Decoder) decodeSlice(s *Slice, out, mask *vmath.Plane) error {
 }
 
 func (d *Decoder) decodeIntraMB(r *bits.Reader, out *vmath.Plane, cx, cy int, q float32) error {
-	if xf.idct4x != nil {
-		rec, err := d.decodeMB4(r, q)
-		if err != nil {
-			return err
-		}
-		for b := 0; b < 4; b++ {
-			writeBlock(out, cx+(b&1)*blockSize, cy+(b>>1)*blockSize, &rec[b], 128)
-		}
-		return nil
-	}
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
 			rec, err := decodeBlock(r, q)
@@ -774,16 +736,6 @@ func (d *Decoder) decodeIntraMB(r *bits.Reader, out *vmath.Plane, cx, cy int, q 
 }
 
 func (d *Decoder) decodeInterMB(r *bits.Reader, out *vmath.Plane, cx, cy int, mv MV, q float32) error {
-	if xf.idct4x != nil {
-		rec, err := d.decodeMB4(r, q)
-		if err != nil {
-			return err
-		}
-		for b := 0; b < 4; b++ {
-			d.writeInterMC(out, cx+(b&1)*blockSize, cy+(b>>1)*blockSize, mv, &rec[b])
-		}
-		return nil
-	}
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
 			rec, err := decodeBlock(r, q)

@@ -34,17 +34,7 @@ func TestDCTRoundTrip(t *testing.T) {
 		coef[i] *= xf.invScale[i] / xf.fwdScale[i]
 	}
 	xf.idct(&coef, &rec)
-	// The integer tiers round after every fixed-point multiply, so their
-	// round trip is only accurate to a few LSBs of the forward carry —
-	// the packed tier (the codecint default) quantises pixels at Q2, so
-	// a few Q2 LSBs — far below any quantiser step (levels are gated
-	// separately at ±1 by TestIntQuantLevelEquivalence and
-	// TestInt4xQuantLevelEquivalence); the float sets reconstruct to
-	// ~1e-5.
 	tol := 1e-3
-	if IntTransformsForced {
-		tol = 2.0 / 4
-	}
 	for i := range blk {
 		if math.Abs(float64(blk[i]-rec[i])) > tol {
 			t.Fatalf("DCT round trip error at %d: %v vs %v", i, blk[i], rec[i])

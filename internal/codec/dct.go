@@ -3,12 +3,12 @@
 //
 // It is a real, if compact, codec: 16×16 motion-compensated macroblocks,
 // 8×8 AAN butterfly DCT of intra pixels or inter residuals (reference
-// basis-matrix transforms are kept as test oracles and behind the codecref
-// build tag), frequency-weighted uniform quantisation, zigzag run/level
-// entropy coding with Exp-Golomb codes, GOP structure with periodic intra
-// frames, per-frame rate control toward a target bitrate, and slice-based
-// packetisation so that packet loss yields partially decodable frames (the
-// Ipart input of the recovery model).
+// basis-matrix transforms are kept as test oracles), frequency-weighted
+// uniform quantisation, zigzag run/level entropy coding with Exp-Golomb
+// codes, GOP structure with periodic intra frames, per-frame rate control
+// toward a target bitrate, and slice-based packetisation so that packet
+// loss yields partially decodable frames (the Ipart input of the recovery
+// model).
 package codec
 
 import "math"
@@ -34,8 +34,7 @@ func makeDCTBasis() (b [blockSize][blockSize]float32) {
 
 // fdct8Ref computes the 2-D forward DCT of an 8×8 block (row-major in/out)
 // by direct basis-matrix multiplication: the unscaled orthonormal DCT-II.
-// It is the differential-test oracle for the AAN fast path and the active
-// transform in `-tags codecref` builds.
+// It is the differential-test oracle for the AAN fast path.
 func fdct8Ref(in, out *[64]float32) {
 	var tmp [64]float32
 	// Rows.
@@ -61,7 +60,7 @@ func fdct8Ref(in, out *[64]float32) {
 }
 
 // idct8Ref computes the 2-D inverse DCT of an 8×8 coefficient block by
-// direct basis-matrix multiplication (oracle / codecref twin of fdct8Ref).
+// direct basis-matrix multiplication (oracle twin of fdct8Ref).
 func idct8Ref(in, out *[64]float32) {
 	var tmp [64]float32
 	// Columns.
@@ -99,22 +98,16 @@ func idct8Ref(in, out *[64]float32) {
 //     coefficients as the unscaled transform would — scaling costs zero
 //     extra multiplies, and bitstreams are interchangeable across sets.
 type transformSet struct {
-	fdct, idct func(in, out *[64]float32)
-	// fdct4x/idct4x, when non-nil, transform four blocks per call — the
-	// packed SWAR tier (dct_int4x.go) uses them to run one lane per block
-	// of a macroblock. Semantics per block are identical to fdct/idct;
-	// the macroblock coders batch through them when present.
-	fdct4x, idct4x func(in, out *[4][64]float32)
-	fwdScale       [64]float32
-	invScale       [64]float32
-	quantRecip     [64]float32
-	dequantStep    [64]float32
+	fdct, idct  func(in, out *[64]float32)
+	fwdScale    [64]float32
+	invScale    [64]float32
+	quantRecip  [64]float32
+	dequantStep [64]float32
 }
 
-// xf is the active transform set. It is chosen at build time by
-// defaultTransforms (AAN unless built with -tags codecref) and swapped only
-// by the package's own parity tests.
-var xf = defaultTransforms()
+// xf is the active transform set: always the AAN set, swapped for the
+// reference set only by the package's own parity tests.
+var xf = aanTransforms()
 
 func newTransformSet(fdct, idct func(in, out *[64]float32), fwd, inv [64]float32) transformSet {
 	ts := transformSet{fdct: fdct, idct: idct, fwdScale: fwd, invScale: inv}
@@ -153,7 +146,7 @@ var quantWeight = makeQuantWeight()
 func makeQuantWeight() (w [64]float32) {
 	for v := 0; v < 8; v++ {
 		for u := 0; u < 8; u++ {
-			w[v*8+u] = 1 + 0.6*float32(u+v)
+			w[v*8+u] = 1 + float32(0.6*float32(u+v))
 		}
 	}
 	return w
@@ -161,11 +154,13 @@ func makeQuantWeight() (w [64]float32) {
 
 // quantise maps fdct output (in the active set's scaled domain) to integer
 // levels for quantiser step q: round(X[i] / (q·quantWeight[i])) in the true
-// coefficient domain, with the descale folded into quantRecip.
+// coefficient domain, with the descale folded into quantRecip. The
+// float32 conversion keeps the product from fusing with roundLevel's ±0.5
+// (see the rounding rule in dct_aan.go).
 func quantise(coef *[64]float32, q float32, levels *[64]int32) {
 	invQ := 1 / q
 	for i := 0; i < 64; i++ {
-		levels[i] = roundLevel(coef[i] * xf.quantRecip[i] * invQ)
+		levels[i] = roundLevel(float32(coef[i] * xf.quantRecip[i] * invQ))
 	}
 }
 

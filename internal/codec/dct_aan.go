@@ -16,6 +16,16 @@ import "math"
 //
 // where X is the orthonormal 2-D DCT. The ratio invScale/fwdScale is the
 // uniform 1/64, so idct8(fdct8(x)/64) == x up to float rounding.
+//
+// Rounding rule: every product that feeds an add or subtract is wrapped in
+// an explicit float32 conversion. Go may fuse a*b+c into one
+// multiply-add (it does on arm64, not on amd64 GOAMD64=v1), which skips
+// the product's rounding; the spec forbids fusion across an explicit
+// conversion. With the rule, fdct8, idct8 and the quantiser round the same
+// way on every platform, so an encoder and a decoder on different
+// architectures reconstruct bit-identical frames. On amd64 the
+// conversions emit no instructions. CI builds the package for arm64 and
+// fails on any fused multiply-add outside the reference transforms.
 
 // Forward butterfly constants: cos(π/4), cos(3π/8), cos(3π/8)·√2·cos(π/8)
 // factored as in jfdctflt — c4, c6, c2−c6, c2+c6 in libjpeg's notation.
@@ -55,7 +65,7 @@ func fdct8(in, out *[64]float32) {
 		o := out[y*8 : y*8+8]
 		o[0] = tmp10 + tmp11
 		o[4] = tmp10 - tmp11
-		z1 := (tmp12 + tmp13) * aanF1
+		z1 := float32((tmp12 + tmp13) * aanF1)
 		o[2] = tmp13 + z1
 		o[6] = tmp13 - z1
 
@@ -63,10 +73,10 @@ func fdct8(in, out *[64]float32) {
 		tmp10 = tmp4 + tmp5
 		tmp11 = tmp5 + tmp6
 		tmp12 = tmp6 + tmp7
-		z5 := (tmp10 - tmp12) * aanF2
-		z2 := aanF3*tmp10 + z5
-		z4 := aanF4*tmp12 + z5
-		z3 := tmp11 * aanF1
+		z5 := float32((tmp10 - tmp12) * aanF2)
+		z2 := float32(aanF3*tmp10) + z5
+		z4 := float32(aanF4*tmp12) + z5
+		z3 := float32(tmp11 * aanF1)
 		z11, z13 := tmp7+z3, tmp7-z3
 		o[5] = z13 + z2
 		o[3] = z13 - z2
@@ -85,17 +95,17 @@ func fdct8(in, out *[64]float32) {
 		tmp11, tmp12 := tmp1+tmp2, tmp1-tmp2
 		c[0] = tmp10 + tmp11
 		c[32] = tmp10 - tmp11
-		z1 := (tmp12 + tmp13) * aanF1
+		z1 := float32((tmp12 + tmp13) * aanF1)
 		c[16] = tmp13 + z1
 		c[48] = tmp13 - z1
 
 		tmp10 = tmp4 + tmp5
 		tmp11 = tmp5 + tmp6
 		tmp12 = tmp6 + tmp7
-		z5 := (tmp10 - tmp12) * aanF2
-		z2 := aanF3*tmp10 + z5
-		z4 := aanF4*tmp12 + z5
-		z3 := tmp11 * aanF1
+		z5 := float32((tmp10 - tmp12) * aanF2)
+		z2 := float32(aanF3*tmp10) + z5
+		z4 := float32(aanF4*tmp12) + z5
+		z3 := float32(tmp11 * aanF1)
 		z11, z13 := tmp7+z3, tmp7-z3
 		c[40] = z13 + z2
 		c[24] = z13 - z2
@@ -114,7 +124,7 @@ func idct8(in, out *[64]float32) {
 		tmp10 := c[0] + c[32]
 		tmp11 := c[0] - c[32]
 		tmp13 := c[16] + c[48]
-		tmp12 := (c[16]-c[48])*aanI1 - tmp13
+		tmp12 := float32((c[16]-c[48])*aanI1) - tmp13
 		tmp0, tmp3 := tmp10+tmp13, tmp10-tmp13
 		tmp1, tmp2 := tmp11+tmp12, tmp11-tmp12
 
@@ -124,10 +134,10 @@ func idct8(in, out *[64]float32) {
 		z11 := c[8] + c[56]
 		z12 := c[8] - c[56]
 		tmp7 := z11 + z13
-		tmp11 = (z11 - z13) * aanI1
-		z5 := (z10 + z12) * aanI2
-		tmp10 = aanI3*z12 - z5
-		tmp12 = aanI4*z10 + z5
+		tmp11 = float32((z11 - z13) * aanI1)
+		z5 := float32((z10 + z12) * aanI2)
+		tmp10 = float32(aanI3*z12) - z5
+		tmp12 = float32(aanI4*z10) + z5
 		tmp6 := tmp12 - tmp7
 		tmp5 := tmp11 - tmp6
 		tmp4 := tmp10 + tmp5
@@ -148,7 +158,7 @@ func idct8(in, out *[64]float32) {
 		tmp10 := r[0] + r[4]
 		tmp11 := r[0] - r[4]
 		tmp13 := r[2] + r[6]
-		tmp12 := (r[2]-r[6])*aanI1 - tmp13
+		tmp12 := float32((r[2]-r[6])*aanI1) - tmp13
 		tmp0, tmp3 := tmp10+tmp13, tmp10-tmp13
 		tmp1, tmp2 := tmp11+tmp12, tmp11-tmp12
 
@@ -157,10 +167,10 @@ func idct8(in, out *[64]float32) {
 		z11 := r[1] + r[7]
 		z12 := r[1] - r[7]
 		tmp7 := z11 + z13
-		tmp11 = (z11 - z13) * aanI1
-		z5 := (z10 + z12) * aanI2
-		tmp10 = aanI3*z12 - z5
-		tmp12 = aanI4*z10 + z5
+		tmp11 = float32((z11 - z13) * aanI1)
+		z5 := float32((z10 + z12) * aanI2)
+		tmp10 = float32(aanI3*z12) - z5
+		tmp12 = float32(aanI4*z10) + z5
 		tmp6 := tmp12 - tmp7
 		tmp5 := tmp11 - tmp6
 		tmp4 := tmp10 + tmp5

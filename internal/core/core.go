@@ -93,19 +93,15 @@ type ClientConfig struct {
 	EnableRecovery bool
 	// EnableSR turns super-resolution on.
 	EnableSR bool
-	// FixedPoint selects the integer/SWAR kernel tier end to end: the
-	// recovery model runs its byte-plane warp path (recovery.Config
-	// .FixedPoint) and the SR stage uses the byte-plane head (sr.NewFast).
-	// Output differs from the float tier by at most a few grey levels
-	// (see the tier parity tests in those packages) at a fraction of the
-	// one-core frame time. Legacy knob: Tier supersedes it when set.
-	FixedPoint bool
 	// Tier selects the kernel tier policy: TierFloat (the zero value) and
 	// TierFixed pin one tier for every frame, TierAuto lets a deadline
 	// governor switch float↔fixed per frame from observed frame times
-	// (see tierGovernor). When Tier is left at its zero value the legacy
-	// FixedPoint flag still selects TierFixed, so existing configurations
-	// keep their meaning.
+	// (see tierGovernor). The fixed tier runs the integer/SWAR kernels end
+	// to end: the recovery model's byte-plane warp path
+	// (recovery.Config.FixedPoint) and the byte-plane SR head
+	// (sr.NewFast). Its output differs from the float tier by at most a
+	// few grey levels (see the tier parity tests in those packages) at a
+	// fraction of the one-core frame time.
 	Tier Tier
 	// Device is the cost model used for the latency/energy accounting
 	// (default iPhone 12).
@@ -189,8 +185,7 @@ type Client struct {
 	srFixed upscaler
 	hasSR   bool
 
-	tier Tier          // resolved policy (FixedPoint legacy mapped in)
-	gov  *tierGovernor // deadline governor; non-nil only for TierAuto
+	gov *tierGovernor // deadline governor; non-nil only for TierAuto
 	// govCost, when set, replaces the governor's wall-clock frame cost
 	// with a scripted one — the determinism tests' seam. Takes the frame
 	// index and the tier the frame ran in.
@@ -217,15 +212,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.Device = device.IPhone12()
 	}
 	tier := cfg.Tier
-	if tier == TierFloat && cfg.FixedPoint {
-		tier = TierFixed
-	}
 	c := &Client{
 		cfg:     cfg,
 		dec:     codec.NewDecoder(codec.Config{W: cfg.W, H: cfg.H}),
 		rec:     recovery.New(recovery.Config{OutW: cfg.W, OutH: cfg.H, FixedPoint: tier == TierFixed}),
 		ext:     edgecode.NewExtractor(0, 0),
-		tier:    tier,
 		classes: make(map[FrameClass]int),
 	}
 	if cfg.EnableSR && (cfg.OutW != cfg.W || cfg.OutH != cfg.H) {
@@ -335,7 +326,7 @@ func (c *Client) observeGov(res *FrameResult, cost time.Duration) {
 // frameTier resolves the tier for the frame about to be ingested.
 func (c *Client) frameTier() (t Tier, probe bool) {
 	if c.gov == nil {
-		return c.tier, false
+		return c.cfg.Tier, false
 	}
 	t, probe = c.gov.next()
 	if probe {

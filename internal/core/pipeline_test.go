@@ -95,20 +95,20 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 	sfs := pipelineServerFrames(t, frames)
 	for _, tc := range []struct {
 		name    string
-		fixed   bool
+		tier    Tier
 		workers int
 	}{
-		{"float/1worker", false, 1},
-		{"float/4workers", false, 4},
-		{"fixed/1worker", true, 1},
-		{"fixed/4workers", true, 4},
+		{"float/1worker", TierFloat, 1},
+		{"float/4workers", TierFloat, 4},
+		{"fixed/1worker", TierFixed, 1},
+		{"fixed/4workers", TierFixed, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer par.SetWorkers(tc.workers)()
 			cfg := ClientConfig{
 				W: tw, H: th, OutW: tw * 2, OutH: th * 2,
 				EnableRecovery: true, EnableSR: true,
-				FixedPoint: tc.fixed,
+				Tier: tc.tier,
 			}
 			seq := runSequential(t, cfg, sfs)
 			pip := runPipelined(t, cfg, sfs)
@@ -168,7 +168,7 @@ func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
 	sfs := pipelineServerFrames(t, frames)
 	cli, err := NewClient(ClientConfig{
 		W: tw, H: th, OutW: tw * 2, OutH: th * 2,
-		EnableRecovery: true, EnableSR: true, FixedPoint: true,
+		EnableRecovery: true, EnableSR: true, Tier: TierFixed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,7 @@ type Tier int
 
 const (
 	// TierFloat pins the float32 kernels for every frame — the reference
-	// tier. It is the zero value so an unset ClientConfig keeps its old
-	// meaning (legacy ClientConfig.FixedPoint still promotes to TierFixed).
+	// tier and the zero value of ClientConfig.Tier.
 	TierFloat Tier = iota
 	// TierFixed pins the integer/SWAR kernel tier for every frame.
 	TierFixed

@@ -93,6 +93,17 @@ func NewServer(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
 // NewClient builds a client engine.
 func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
 
+// Tier is the client's kernel tier policy (ClientConfig.Tier): TierFloat
+// (the zero value) and TierFixed pin one tier, TierAuto lets a deadline
+// governor pick per frame.
+type Tier = core.Tier
+
+const (
+	TierFloat = core.TierFloat
+	TierFixed = core.TierFixed
+	TierAuto  = core.TierAuto
+)
+
 // ---- Standalone components ----
 
 // Recoverer is the hint-assisted video recovery model (§4).

@@ -43,6 +43,34 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeFixedTier: root-package callers pin the fixed kernel tier
+// through the exported Tier aliases.
+func TestFacadeFixedTier(t *testing.T) {
+	const w, h = 160, 96
+	gen := NewGenerator(Categories()[3], 1)
+	srv, err := NewServer(ServerConfig{W: w, H: h, TargetBitrate: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClient(ClientConfig{W: w, H: h, EnableRecovery: true, Tier: TierFixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		sf, err := srv.Process(gen.Render(i, w, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cli.Next(ClientInput{Encoded: sf.Encoded, Code: sf.Code})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tier != TierFixed {
+			t.Fatalf("frame %d ran in tier %v, want %v", i, res.Tier, TierFixed)
+		}
+	}
+}
+
 func TestFacadeLadder(t *testing.T) {
 	rs := Resolutions()
 	if len(rs) != 5 || rs[0] != R240 || rs[4] != R1080 {
