@@ -1,0 +1,52 @@
+package video
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"nerve/internal/vmath"
+)
+
+// goldenRenders pins Render's output on a handful of frames. Any change to
+// the scene model, the noise lattice or the order of the floating-point
+// operations moves these digests; a change that should leave the frames
+// alone (a faster evaluation order of the same arithmetic, a rounding guard
+// that emits no instruction on amd64) must leave them exactly as they are.
+var goldenRenders = []struct {
+	cat     Category
+	seed    int64
+	t, w, h int
+	digest  string
+	why     string
+}{
+	{Categories()[3], 1, 0, 320, 180, "9755ccd8dfe972b14c8432812ff0aca30b458dacfecdcc6433ef8f11338af479", "origin source, segment start"},
+	{Categories()[3], 1, 95, 960, 540, "4773ddff598466b2c5376e5228966675805e38d2d8924815ac296fb33b6e08c3", "play source size, spawned object sliding in"},
+	{Categories()[1], 7, 3, 160, 96, "52641fffef0820b1cdfb9ef491b59d3f643fc0a1182a614bdc4361c6506e7c24", "the codec's golden clip"},
+	{Categories()[2], 7, 181, 97, 53, "a6808335f29ffc607664596d83b04385493e1d74fc6fde5ead88434b0185450e", "odd size, just after a scene cut"},
+	{Category{Name: "NoCuts", Objects: 2, Speed: 0.7, Texture: 0.6, SpawnRate: 0.3, Noise: 1}, 3, 10000, 64, 36, "4d36cecfac85b09aa6066c9a1b933f06644f2747e496b066b6c7ba932c344f35", "no cuts, pan far from the lattice origin"},
+}
+
+// planeDigest returns the SHA-256 of the plane's samples as little-endian
+// float32 bit patterns.
+func planeDigest(p *vmath.Plane) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, v := range p.Pix {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRenderGolden renders each pinned frame and compares its digest.
+func TestRenderGolden(t *testing.T) {
+	for _, c := range goldenRenders {
+		got := planeDigest(NewGenerator(c.cat, c.seed).Render(c.t, c.w, c.h))
+		if got != c.digest {
+			t.Errorf("%s seed %d t=%d %dx%d (%s): digest %s, want %s", c.cat.Name, c.seed, c.t, c.w, c.h, c.why, got, c.digest)
+		}
+	}
+}

@@ -157,39 +157,109 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// hashInit is the state hashUnit's chain starts from.
+const hashInit = 0x243f6a8885a308d3
+
 // hashUnit maps an arbitrary key sequence to a float64 in [0,1).
 func hashUnit(keys ...uint64) float64 {
-	var h uint64 = 0x243f6a8885a308d3
+	var h uint64 = hashInit
 	for _, k := range keys {
 		h = splitmix64(h ^ k)
 	}
-	return float64(h>>11) / float64(1<<53)
+	return unitFloat(h)
 }
 
-// valueNoise2D returns smooth value noise at continuous (x, y) for the given
-// lattice seed, in [0,1].
-func valueNoise2D(seed uint64, x, y float64) float64 {
-	x0 := math.Floor(x)
-	y0 := math.Floor(y)
-	fx := x - x0
-	fy := y - y0
-	// Smoothstep fade for C1 continuity.
-	sx := fx * fx * (3 - 2*fx)
-	sy := fy * fy * (3 - 2*fy)
-	ix0 := uint64(int64(x0))
-	iy0 := uint64(int64(y0))
-	v00 := hashUnit(seed, ix0, iy0)
-	v10 := hashUnit(seed, ix0+1, iy0)
-	v01 := hashUnit(seed, ix0, iy0+1)
-	v11 := hashUnit(seed, ix0+1, iy0+1)
-	top := v00 + sx*(v10-v00)
-	bot := v01 + sx*(v11-v01)
-	return top + sy*(bot-top)
+// unitFloat maps the top 53 bits of a hash to a float64 in [0,1). The
+// compiler turns the division into a multiply by 2⁻⁵³; the conversion keeps
+// that multiply from fusing with the add the result feeds.
+func unitFloat(h uint64) float64 { return float64(float64(h>>11) / float64(1<<53)) }
+
+// Rounding rule for this file (DESIGN.md §10): every product that feeds an
+// add or subtract is wrapped in an explicit float64(...) conversion, so no
+// platform may fuse the pair into one multiply-add and skip the product's
+// rounding. Frames are then the same bits on every platform.
+
+// fade is the smoothstep weight of a lattice-cell fraction f, for C1
+// continuity of the value noise.
+func fade(f float64) float64 { return f * f * (3 - float64(2*f)) }
+
+// lerp returns a + s·(b−a).
+func lerp(a, b, s float64) float64 { return a + float64(s*(b-a)) }
+
+// cell splits a noise coordinate into its lattice cell and smoothstep
+// weight.
+func cell(x float64) (i int64, s float64) {
+	f := math.Floor(x)
+	return int64(f), fade(x - f)
 }
 
-// fbm2D is two-octave fractal value noise in [0,1].
-func fbm2D(seed uint64, x, y float64) float64 {
-	return (valueNoise2D(seed, x, y)*0.65 + valueNoise2D(seed^0xabcdef, x*2.7, y*2.7)*0.35)
+// The scene's texture is two-octave fractal value noise: octave 1 at the
+// given coordinates with the texture seed, octave 2 at 2.7× them with the
+// seed XOR fbmSeed2, mixed 0.65 : 0.35. Each octave interpolates hashUnit
+// values of (seed, ix, iy) at the integer lattice points around the sample.
+const (
+	fbmSeed2 = 0xabcdef
+	fbmFreq2 = 2.7
+)
+
+// fbmMix mixes the two octaves' noise values.
+func fbmMix(n1, n2 float64) float64 { return float64(n1*0.65) + float64(n2*0.35) }
+
+// lattice holds hashUnit(seed, ix, iy) for the integer points
+// x0 ≤ ix < x0+nx, y0 ≤ iy < y0+ny, row by row. A frame samples each
+// octave's lattice at a few hundred points but samples each point for
+// hundreds of pixels, so Render hashes the points once per call into
+// lattices and interpolates from them.
+type lattice struct {
+	seed   uint64
+	x0, y0 int64
+	nx, ny int
+	v      []float64
+}
+
+// fill hashes the points of the nx×ny rectangle at (x0, y0) for seed,
+// reusing l's storage.
+func (l *lattice) fill(seed uint64, x0, y0 int64, nx, ny int) {
+	l.seed, l.x0, l.y0, l.nx, l.ny = seed, x0, y0, nx, ny
+	if cap(l.v) < nx*ny {
+		l.v = make([]float64, nx*ny)
+	}
+	l.v = l.v[:nx*ny]
+	// The hash chain's first two rounds depend only on seed and ix.
+	hs := splitmix64(hashInit ^ seed)
+	for i := 0; i < nx; i++ {
+		hx := splitmix64(hs ^ uint64(x0+int64(i)))
+		for j := 0; j < ny; j++ {
+			l.v[j*nx+i] = unitFloat(splitmix64(hx ^ uint64(y0+int64(j))))
+		}
+	}
+}
+
+// at returns hashUnit(l.seed, ix, iy), from the table when the point is in
+// it.
+func (l *lattice) at(ix, iy int64) float64 {
+	i, j := ix-l.x0, iy-l.y0
+	if i >= 0 && i < int64(l.nx) && j >= 0 && j < int64(l.ny) {
+		return l.v[int(j)*l.nx+int(i)]
+	}
+	return hashUnit(l.seed, uint64(ix), uint64(iy))
+}
+
+// noise returns the value noise of l's seed at (x, y), in [0,1]. Points
+// outside the table are hashed, so the result never depends on the table's
+// bounds.
+func (l *lattice) noise(x, y float64) float64 {
+	ix, sx := cell(x)
+	iy, sy := cell(y)
+	var v00, v10, v01, v11 float64
+	if i, j := ix-l.x0, iy-l.y0; i >= 0 && i < int64(l.nx-1) && j >= 0 && j < int64(l.ny-1) {
+		k := int(j)*l.nx + int(i)
+		v00, v10, v01, v11 = l.v[k], l.v[k+1], l.v[k+l.nx], l.v[k+l.nx+1]
+	} else {
+		v00, v10 = l.at(ix, iy), l.at(ix+1, iy)
+		v01, v11 = l.at(ix, iy+1), l.at(ix+1, iy+1)
+	}
+	return lerp(lerp(v00, v10, sx), lerp(v01, v11, sx), sy)
 }
 
 // Generator renders the synthetic scene for one (category, seed) pair.
@@ -246,19 +316,21 @@ func (g *Generator) objects(seg int) []object {
 		k := splitmix64(segKey ^ uint64(i)*0x85eb)
 		u := func(j uint64) float64 { return hashUnit(k, j) }
 		o := &objs[i]
-		o.cx = 0.15 + 0.7*u(1)
-		o.cy = 0.15 + 0.7*u(2)
-		o.ax = 0.05 + 0.25*u(3)
-		o.ay = 0.05 + 0.25*u(4)
+		o.cx = 0.15 + float64(0.7*u(1))
+		o.cy = 0.15 + float64(0.7*u(2))
+		o.ax = 0.05 + float64(0.25*u(3))
+		o.ay = 0.05 + float64(0.25*u(4))
 		o.px = 2 * math.Pi * u(5)
 		o.py = 2 * math.Pi * u(6)
 		speed := g.Cat.Speed * (0.5 + u(7))
-		o.wx = speed * (0.6 + 0.8*u(8)) * 2 * math.Pi / 4 // rad/s
-		o.wy = speed * (0.6 + 0.8*u(9)) * 2 * math.Pi / 4
-		o.rx = 0.05 + 0.12*u(10)
-		o.ry = 0.05 + 0.12*u(11)
+		// The compiler turns ×2 into an add, so the product before it is
+		// rounded explicitly too.
+		o.wx = float64(speed*(0.6+float64(0.8*u(8)))) * 2 * math.Pi / 4 // rad/s
+		o.wy = float64(speed*(0.6+float64(0.8*u(9)))) * 2 * math.Pi / 4
+		o.rx = 0.05 + float64(0.12*u(10))
+		o.ry = 0.05 + float64(0.12*u(11))
 		o.angle = math.Pi * u(12)
-		o.level = 40 + 190*u(13)
+		o.level = 40 + float64(190*u(13))
 		o.texSeed = splitmix64(k ^ 0xfeed)
 		if i >= g.Cat.Objects {
 			// Staggered spawn across the segment.
@@ -274,8 +346,8 @@ func (g *Generator) objects(seg int) []object {
 // edge entrances for spawned objects.
 func (o *object) pos(off int) (x, y float64) {
 	ts := float64(off) / FPS
-	x = o.cx + o.ax*math.Sin(o.wx*ts+o.px)
-	y = o.cy + o.ay*math.Sin(o.wy*ts+o.py)
+	x = o.cx + float64(o.ax*math.Sin(float64(o.wx*ts)+o.px))
+	y = o.cy + float64(o.ay*math.Sin(float64(o.wy*ts)+o.py))
 	if o.birth > 0 {
 		// Slide in from the entrance edge over ~1 second.
 		prog := float64(off-o.birth) / FPS
@@ -285,23 +357,55 @@ func (o *object) pos(off int) (x, y float64) {
 		slide := 1 - math.Min(prog, 1) // 1 → fully outside, 0 → on path
 		switch o.entrance {
 		case 0:
-			x -= slide * (x + 0.2)
+			x -= float64(slide * (x + 0.2))
 		case 1:
-			x += slide * (1.2 - x)
+			x += float64(slide * (1.2 - x))
 		case 2:
-			y -= slide * (y + 0.2)
+			y -= float64(slide * (y + 0.2))
 		default:
-			y += slide * (1.2 - y)
+			y += float64(slide * (1.2 - y))
 		}
 	}
 	return x, y
 }
+
+// bgAxis is one pixel column's (or row's) share of the background: its
+// lattice cell (as an offset into the frame's lattice table once Render
+// has sized the tables) and smoothstep weight on each octave, and its term
+// of the intensity gradient.
+type bgAxis struct {
+	i1, i2 int64
+	s1, s2 float64
+	ramp   float64
+}
+
+// newBgAxis places normalised coordinate n, panned by pan, on the
+// background's octave lattices.
+func newBgAxis(n, pan, ramp float64) bgAxis {
+	x := float64(n*6) + pan
+	i1, s1 := cell(x)
+	i2, s2 := cell(float64(x * fbmFreq2))
+	return bgAxis{i1: i1, i2: i2, s1: s1, s2: s2, ramp: ramp}
+}
+
+// Object texture coordinates are 4·(ex, ey) in the ellipse frame, where
+// ex² + ey² < 1 inside the ellipse: octave 1 samples cells in [-4, 4) and
+// octave 2 cells in [-10.8, 10.8), so these tables cover every lattice
+// point an object's texture reads.
+const (
+	objLat1 = 4
+	objLat2 = 11
+)
 
 // Render draws frame t at w×h pixels. The result is deterministic in
 // (category, seed, t, w, h) and consistent across resolutions: a frame
 // rendered at 480×270 is (up to sampling) the downscale of the same frame at
 // 1920×1080.
 func (g *Generator) Render(t, w, h int) *vmath.Plane {
+	out := vmath.NewPlane(w, h)
+	if len(out.Pix) == 0 {
+		return out
+	}
 	seg, off := g.segment(t)
 	segKey := splitmix64(g.Seed ^ uint64(seg)*0x9e37)
 	objs := g.objects(seg)
@@ -313,19 +417,49 @@ func (g *Generator) Render(t, w, h int) *vmath.Plane {
 	bgSeed := splitmix64(segKey ^ 0xbac)
 	texAmp := 60 * g.Cat.Texture
 
-	out := vmath.NewPlane(w, h)
-	for py := 0; py < h; py++ {
+	// Background: smooth gradient plus panning fbm texture. The texture
+	// coordinate of a pixel is separable, so each column and row is placed
+	// on the two octave lattices once, and the lattice points the pan
+	// window covers are hashed once into a table per octave. Coordinates
+	// grow with px and py, so the first and last column (row) bound the
+	// cells.
+	cols := make([]bgAxis, w)
+	for px := range cols {
+		nx := float64(px) / float64(w)
+		cols[px] = newBgAxis(nx, panX, 70+float64(60*nx))
+	}
+	rows := make([]bgAxis, h)
+	for py := range rows {
 		ny := float64(py) / float64(h)
-		for px := 0; px < w; px++ {
-			nx := float64(px) / float64(w)
-			// Background: smooth gradient plus panning fbm texture.
-			v := 70 + 60*nx + 30*ny
-			v += texAmp * (fbm2D(bgSeed, nx*6+panX, ny*6+panY) - 0.5)
-			out.Pix[py*w+px] = float32(v)
+		rows[py] = newBgAxis(ny, panY, float64(30*ny))
+	}
+	var bg1, bg2 lattice
+	c0, c1, r0, r1 := cols[0], cols[w-1], rows[0], rows[h-1]
+	bg1.fill(bgSeed, c0.i1, r0.i1, int(c1.i1-c0.i1)+2, int(r1.i1-r0.i1)+2)
+	bg2.fill(bgSeed^fbmSeed2, c0.i2, r0.i2, int(c1.i2-c0.i2)+2, int(r1.i2-r0.i2)+2)
+	for px := range cols {
+		cols[px].i1 -= bg1.x0
+		cols[px].i2 -= bg2.x0
+	}
+	for py, r := range rows {
+		a1 := bg1.v[int(r.i1-bg1.y0)*bg1.nx:]
+		b1 := a1[bg1.nx:]
+		a2 := bg2.v[int(r.i2-bg2.y0)*bg2.nx:]
+		b2 := a2[bg2.nx:]
+		line := out.Pix[py*w : (py+1)*w]
+		for px, c := range cols {
+			i, j := int(c.i1), int(c.i2)
+			n1 := lerp(lerp(a1[i], a1[i+1], c.s1), lerp(b1[i], b1[i+1], c.s1), r.s1)
+			n2 := lerp(lerp(a2[j], a2[j+1], c.s2), lerp(b2[j], b2[j+1], c.s2), r.s2)
+			v := c.ramp + r.ramp
+			v += float64(texAmp * (fbmMix(n1, n2) - 0.5))
+			line[px] = float32(v)
 		}
 	}
 
 	// Objects are painted back-to-front in index order.
+	texScale := texAmp * 0.8
+	var tex1, tex2 lattice
 	for i := range objs {
 		o := &objs[i]
 		if off < o.birth {
@@ -333,10 +467,10 @@ func (g *Generator) Render(t, w, h int) *vmath.Plane {
 		}
 		ox, oy := o.pos(off)
 		// Bounding box in pixels (inflate a little for the soft edge).
-		x0 := int((ox - o.rx*1.3) * float64(w))
-		x1 := int((ox + o.rx*1.3) * float64(w))
-		y0 := int((oy - o.ry*1.3) * float64(h))
-		y1 := int((oy + o.ry*1.3) * float64(h))
+		x0 := int((ox - float64(o.rx*1.3)) * float64(w))
+		x1 := int((ox + float64(o.rx*1.3)) * float64(w))
+		y0 := int((oy - float64(o.ry*1.3)) * float64(h))
+		y1 := int((oy + float64(o.ry*1.3)) * float64(h))
 		if x1 < 0 || y1 < 0 || x0 >= w || y0 >= h {
 			continue
 		}
@@ -352,16 +486,19 @@ func (g *Generator) Render(t, w, h int) *vmath.Plane {
 		if y1 > h-1 {
 			y1 = h - 1
 		}
+		tex1.fill(o.texSeed, -objLat1, -objLat1, 2*objLat1+1, 2*objLat1+1)
+		tex2.fill(o.texSeed^fbmSeed2, -objLat2, -objLat2, 2*objLat2+1, 2*objLat2+1)
 		cosA := math.Cos(o.angle)
 		sinA := math.Sin(o.angle)
 		for py := y0; py <= y1; py++ {
 			ny := float64(py)/float64(h) - oy
+			nySin, nyCos := float64(ny*sinA), float64(ny*cosA)
 			for px := x0; px <= x1; px++ {
 				nx := float64(px)/float64(w) - ox
 				// Rotate into the ellipse frame.
-				ex := (nx*cosA + ny*sinA) / o.rx
-				ey := (-nx*sinA + ny*cosA) / o.ry
-				d := ex*ex + ey*ey
+				ex := (float64(nx*cosA) + nySin) / o.rx
+				ey := (float64(-nx*sinA) + nyCos) / o.ry
+				d := float64(ex*ex) + float64(ey*ey)
 				if d >= 1 {
 					continue
 				}
@@ -370,23 +507,26 @@ func (g *Generator) Render(t, w, h int) *vmath.Plane {
 				if d > 0.7 {
 					alpha = (1 - d) / 0.3
 				}
-				tex := texAmp * 0.8 * (fbm2D(o.texSeed, ex*4, ey*4) - 0.5)
-				v := o.level + tex
+				tx, ty := float64(ex*4), float64(ey*4)
+				n := fbmMix(tex1.noise(tx, ty), tex2.noise(float64(tx*fbmFreq2), float64(ty*fbmFreq2)))
+				v := o.level + float64(texScale*(n-0.5))
 				idx := py*w + px
-				out.Pix[idx] = float32(float64(out.Pix[idx])*(1-alpha) + v*alpha)
+				out.Pix[idx] = float32(float64(float64(out.Pix[idx])*(1-alpha)) + float64(v*alpha))
 			}
 		}
 	}
 
-	// Sensor noise: deterministic per (seed, t, pixel).
+	// Sensor noise: deterministic per (seed, t, pixel), two hashUnit(nSeed,
+	// key) draws per pixel with the seed's round of the chain done once.
 	if g.Cat.Noise > 0 {
 		nSeed := splitmix64(g.Seed ^ uint64(t)*0x6c8e)
+		hs := splitmix64(hashInit ^ nSeed)
 		amp := float32(g.Cat.Noise)
 		for i := range out.Pix {
 			// Approximate Gaussian via sum of two uniforms.
-			u1 := hashUnit(nSeed, uint64(i))
-			u2 := hashUnit(nSeed, uint64(i)^0xffff0000)
-			out.Pix[i] += amp * float32(u1+u2-1) * 2
+			u1 := unitFloat(splitmix64(hs ^ uint64(i)))
+			u2 := unitFloat(splitmix64(hs ^ uint64(i) ^ 0xffff0000))
+			out.Pix[i] += float32(float32(amp*float32(u1+u2-1)) * 2)
 		}
 	}
 	return out.Clamp255()
