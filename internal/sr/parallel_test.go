@@ -85,3 +85,42 @@ func BenchmarkUpscale(b *testing.B) { benchUpscale(b, 1) }
 // -cpu 1,4 to see the scaling. BenchmarkUpscale4x (sr_test.go) also uses
 // the full pool.
 func BenchmarkUpscaleParallel(b *testing.B) { benchUpscale(b, 0) }
+
+// TestFastUpscaleParallelBitExact: the byte head is bit-identical to the
+// two-kernel composite (SharpenBytesInto, then ResizeBilinearBytesInto) at
+// pool sizes 1, 2 and 8, on the fused 2× path for every sharpen amount
+// and on the unfused path at 3×.
+func TestFastUpscaleParallelBitExact(t *testing.T) {
+	cases := []struct {
+		lrW, lrH, outW, outH int
+		boost                float32 // 0: the default amount for the ratio
+	}{
+		{97, 53, 194, 106, 0},
+		{97, 53, 194, 106, 1.0 / 256},
+		{97, 53, 194, 106, 90.0 / 256},
+		{97, 53, 194, 106, 255.0 / 256},
+		{160, 90, 320, 180, 0},
+		{64, 36, 192, 108, 0}, // 3×: sharpen plane + generic resize
+	}
+	for _, c := range cases {
+		lr := randomByteLR(c.lrW, c.lrH, int64(c.lrW+c.outW))
+		for _, workers := range []int{1, 2, 8} {
+			restore := par.SetWorkers(workers)
+			fu := NewFast(Config{OutW: c.outW, OutH: c.outH, DetailBoost: c.boost})
+			sharp := vmath.SharpenBytesInto(vmath.NewBytePlane(c.lrW, c.lrH), lr, fu.boost256(c.lrW))
+			want := vmath.ResizeBilinearBytesInto(vmath.NewBytePlane(c.outW, c.outH), sharp)
+			got := vmath.NewBytePlane(c.outW, c.outH)
+			for i := range got.Pix {
+				got.Pix[i] = 0xAA // dirty, as from the pool
+			}
+			fu.UpscaleBytesInto(got, lr)
+			restore()
+			for i := range want.Pix {
+				if got.Pix[i] != want.Pix[i] {
+					t.Fatalf("%dx%d → %dx%d boost %v workers=%d: pixel %d is %d, composite %d",
+						c.lrW, c.lrH, c.outW, c.outH, c.boost, workers, i, got.Pix[i], want.Pix[i])
+				}
+			}
+		}
+	}
+}

@@ -51,13 +51,6 @@ func fixedTestPlanes(w, h int, seed int64) []*BytePlane {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // toFloat converts a byte plane to its float shadow.
 func toFloat(p *BytePlane) *Plane {
 	f := NewPlane(p.W, p.H)
