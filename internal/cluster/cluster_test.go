@@ -301,9 +301,23 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 	nodes, urls, kill := testCluster(t, 3)
 	cfg := originConfig()
 
-	// Pick the victim: any node, but record that it owns at least one key
-	// pre-kill so the rehash is observable.
-	const victim = 1
+	// Pick the victim: the owner of the first second-half segment key.
+	// Listener ports are random, so ownership differs from run to run; a
+	// fixed victim index sometimes owned no key, or only first-half keys
+	// that every survivor had already cached and so never asked the dead
+	// node for. The owner of a key nobody fetches before the kill is
+	// contacted, and found dead, by every survivor: each one serves both
+	// rates to its own primary clients in the second half.
+	firstLate := fmt.Sprintf("seg:0:%d", cfg.Chunks/2)
+	victim := -1
+	for i, u := range urls {
+		if nodes[0].Ring().Owner(firstLate) == u {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatalf("owner of %s is not a cluster member", firstLate)
+	}
 	victimKeys := 0
 	for rate := 0; rate < len(cfg.Rates); rate++ {
 		for n := 0; n < cfg.Chunks; n++ {
@@ -385,27 +399,18 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 		}
 	}
 
-	// Force both survivors to notice the death (normal traffic almost
-	// certainly already has, but the assertion must not be probabilistic):
-	// request a victim-owned key through each survivor.
-	var victimKey string
-	for rate := 0; rate < len(cfg.Rates) && victimKey == ""; rate++ {
-		for n := 0; n < cfg.Chunks; n++ {
-			if nodes[0].Ring().Owner(fmt.Sprintf("seg:%d:%d", rate, n)) == urls[victim] {
-				victimKey = fmt.Sprintf("/segment?rate=%d&n=%d", rate, n)
-				break
-			}
-		}
-	}
+	// Every survivor serves a victim-owned key after the kill. The key is
+	// one no survivor can have in its peer cache (it was first asked for
+	// after the kill), so a survivor that still thought the victim alive
+	// would ask it, fail and mark it dead here.
+	victimKey := fmt.Sprintf("/segment?rate=0&n=%d", cfg.Chunks/2)
 	for i, u := range urls {
 		if i == victim {
 			continue
 		}
-		if victimKey != "" {
-			cli := httpstream.NewRawClient(u, nil, httpstream.WithRetryPolicy(clientPolicy(int64(100+i))))
-			if _, err := cli.Fetch(victimKey); err != nil {
-				t.Errorf("survivor %d failed to serve a victim-owned key: %v", i, err)
-			}
+		cli := httpstream.NewRawClient(u, nil, httpstream.WithRetryPolicy(clientPolicy(int64(100+i))))
+		if _, err := cli.Fetch(victimKey); err != nil {
+			t.Errorf("survivor %d failed to serve a victim-owned key: %v", i, err)
 		}
 	}
 

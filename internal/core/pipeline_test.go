@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"nerve/internal/par"
@@ -159,9 +158,6 @@ func TestPipelineFlushIsIdempotent(t *testing.T) {
 // ingest(n) draw planes from the pool concurrently, and a warmed pipeline
 // must still allocate no plane backing arrays per frame.
 func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
-	if vmath.RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; steady state is not allocation-free there")
-	}
 	defer par.SetWorkers(2)()
 
 	const frames = 24
@@ -187,7 +183,6 @@ func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		step(i)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := vmath.PlaneAllocs()
 	for i := warm; i < frames; i++ {
 		step(i)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"nerve/internal/par"
@@ -16,14 +15,10 @@ import (
 //
 // The schedule deliberately walks all three input paths (complete, partial,
 // complete loss) in both the warm-up and the measured window, so the
-// recovery and concealment scratch planes are warm too. GC is disabled
-// during the measured window so sync.Pool cannot evict warm buffers
-// mid-measurement, and the worker pool is pinned to one goroutine so
-// bucket reuse is deterministic.
+// recovery and concealment scratch planes are warm too. The pool's
+// buckets are owned free lists that no GC cycle empties, and the worker
+// pool is pinned to one goroutine so bucket reuse is deterministic.
 func TestSteadyStateZeroPlaneAllocs(t *testing.T) {
-	if vmath.RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; steady state is not allocation-free there")
-	}
 	defer par.SetWorkers(1)()
 
 	const frames = 18
@@ -88,7 +83,6 @@ func TestSteadyStateZeroPlaneAllocs(t *testing.T) {
 		step(i)
 	}
 
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := vmath.PlaneAllocs()
 	for i := warm; i < frames; i++ {
 		step(i)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -290,9 +289,6 @@ func TestTierAutoFrameAccounting(t *testing.T) {
 // scheduler interleaving. The overlapped schedule keeps its own zero-alloc
 // proof for pinned tiers in TestPipelinedSteadyStateZeroPlaneAllocs.
 func TestTierSwitchSteadyStateZeroPlaneAllocs(t *testing.T) {
-	if vmath.RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; steady state is not allocation-free there")
-	}
 	defer par.SetWorkers(1)()
 
 	const frames = 72
@@ -344,11 +340,6 @@ func TestTierSwitchSteadyStateZeroPlaneAllocs(t *testing.T) {
 		}
 	}
 
-	// GC off for the whole drive, not just the measured window: the warm
-	// phase here is long enough (33 frames × two tiers of pools) that a GC
-	// inside it would evict just-warmed sync.Pool buffers and charge their
-	// re-allocation to the measured window.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < warm; i++ {
 		step(i)
 	}

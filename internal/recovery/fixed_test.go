@@ -74,9 +74,6 @@ func TestFixedPointExtrapolatedRuns(t *testing.T) {
 // entirely on pooled planes (byte shadows included — BytePool misses count
 // into PlaneAllocs too).
 func TestFixedPointZeroPlaneAllocsWarm(t *testing.T) {
-	if vmath.RaceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; pool determinism not observable")
-	}
 	g := video.NewGenerator(video.Categories()[2], 9)
 	ext := edgecode.NewExtractor(0, 0)
 	r := New(Config{OutW: tw, OutH: th, FixedPoint: true})

@@ -2,7 +2,6 @@ package vmath
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nerve/internal/telemetry"
@@ -77,12 +76,13 @@ func (p *BytePlane) FromPlane(src *Plane) *BytePlane {
 // BytePool is the BytePlane analogue of Pool: a size-bucketed,
 // concurrency-safe free list of byte backing arrays, with the same
 // ownership contract (Get → caller owns until Put; Put optional; foreign
-// or oversize planes are dropped, never adopted incorrectly). Buckets hold
+// or oversize planes are dropped, never adopted incorrectly; a full bucket
+// drops further Puts). Buckets are owned, bounded LIFO free lists of
 // power-of-two byte counts from 1<<6 to 1<<24. Misses count toward
 // PlaneAllocs, so the steady-state allocation proofs cover byte shadows
 // too.
 type BytePool struct {
-	buckets [poolBuckets]sync.Pool
+	buckets [poolBuckets]freeList[BytePlane]
 	stats   PoolStats
 	check   bytePoolChecker
 }
@@ -114,7 +114,7 @@ func (p *BytePool) Get(w, h int) *BytePlane {
 		return &BytePlane{W: w, H: h, Pix: make([]uint8, n)}
 	}
 	bcap := poolBucketCap(idx)
-	pl, _ := p.buckets[idx].Get().(*BytePlane)
+	pl := p.buckets[idx].pop()
 	if pl == nil {
 		atomic.AddInt64(&p.stats.Misses, 1)
 		if p == DefaultBytePool {
@@ -137,7 +137,8 @@ func (p *BytePool) Get(w, h int) *BytePlane {
 
 // Put returns pl to the pool; pl and its Pix slice must not be used again
 // by the caller. Planes whose backing capacity is not an exact bucket size
-// are dropped. Put(nil) is a no-op.
+// are dropped, and so are planes that find their bucket full. Put(nil) is
+// a no-op.
 func (p *BytePool) Put(pl *BytePlane) {
 	if pl == nil {
 		return
@@ -156,9 +157,13 @@ func (p *BytePool) Put(pl *BytePlane) {
 		atomic.AddInt64(&p.stats.Drops, 1)
 		return
 	}
-	atomic.AddInt64(&p.stats.Puts, 1)
 	p.check.onPut(pl)
-	p.buckets[idx].Put(pl)
+	if !p.buckets[idx].push(pl, freeListLimit(c)) {
+		p.check.onGet(pl) // dropped, not free: forget it
+		atomic.AddInt64(&p.stats.Drops, 1)
+		return
+	}
+	atomic.AddInt64(&p.stats.Puts, 1)
 }
 
 // Stats returns a snapshot of the pool's counters (BytesLive in bytes, not

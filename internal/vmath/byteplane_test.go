@@ -43,9 +43,6 @@ func TestBytePlaneFromPlane(t *testing.T) {
 }
 
 func TestBytePoolBucketReuse(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic there")
-	}
 	var p BytePool
 	a := p.Get(20, 10)
 	aPix := &a.Pix[:1][0]
@@ -59,6 +56,17 @@ func TestBytePoolBucketReuse(t *testing.T) {
 		t.Fatalf("reused plane geometry %dx%d len %d", b.W, b.H, len(b.Pix))
 	}
 	p.Put(b)
+}
+
+// TestBytePoolBucketBound: the byte pool bounds its buckets like Pool.
+func TestBytePoolBucketBound(t *testing.T) {
+	var p BytePool
+	for i := 0; i < freeListMax+2; i++ {
+		p.Put(NewBytePlane(8, 8))
+	}
+	if s := p.Stats(); s.Puts != freeListMax || s.Drops != 2 {
+		t.Fatalf("after %d Puts: %+v, want %d puts 2 drops", freeListMax+2, s, freeListMax)
+	}
 }
 
 func TestBytePoolStats(t *testing.T) {
@@ -86,9 +94,6 @@ func TestBytePoolMissCountsPlaneAlloc(t *testing.T) {
 		t.Fatalf("pool miss moved PlaneAllocs by %d, want 1", d)
 	}
 	p.Put(pl)
-	if RaceEnabled {
-		return
-	}
 	before = PlaneAllocs()
 	pl = p.Get(32, 32)
 	if d := PlaneAllocs() - before; d != 0 {

@@ -2,7 +2,6 @@ package vmath
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nerve/internal/telemetry"
@@ -11,9 +10,10 @@ import (
 // Pool is a size-bucketed, concurrency-safe free list of Plane backing
 // arrays. Get hands out a dirty (or zeroed, see GetZeroed) plane whose
 // backing array comes from the bucket of the smallest power-of-two element
-// count that fits; Put returns a plane for reuse. Each bucket is a
-// sync.Pool, so unused buffers are reclaimed by the GC under memory
-// pressure and the pool never needs explicit sizing.
+// count that fits; Put returns a plane for reuse. Each bucket is an owned,
+// bounded LIFO free list (freeList): a warmed loop gets its own planes back
+// whatever the GC or the scheduler do, and a full bucket refuses further
+// Puts, leaving those planes to the GC.
 //
 // Ownership contract (see DESIGN.md "Memory model"):
 //
@@ -27,21 +27,17 @@ import (
 //   - Planes whose backing array did not come from this pool (Clone,
 //     NewPlane, FromSlice, SubPlane results) may be Put too: if the
 //     capacity matches a bucket size they are adopted, otherwise they are
-//     silently dropped. Either way it is safe.
+//     silently dropped. Either way it is safe. A Put into a full bucket is
+//     dropped the same way.
 //
 // The zero Pool is ready to use. Most code uses the package-level
 // DefaultPool via the free functions Get, GetZeroed and Put.
 type Pool struct {
-	buckets [poolBuckets]bucket
+	// buckets[i] holds planes whose Pix capacity is exactly
+	// poolBucketCap(i) elements.
+	buckets [poolBuckets]freeList[Plane]
 	stats   PoolStats
 	check   poolChecker
-}
-
-// bucket wraps one sync.Pool holding *Plane values whose Pix capacity is
-// exactly the bucket's element count. Storing pointers keeps Get/Put free
-// of interface-boxing allocations.
-type bucket struct {
-	free sync.Pool
 }
 
 // PoolStats are the pool's cumulative counters. Read them atomically via
@@ -54,7 +50,8 @@ type PoolStats struct {
 	Misses int64
 	// Puts counts planes accepted back into a bucket.
 	Puts int64
-	// Drops counts planes rejected by Put (capacity not a bucket size).
+	// Drops counts planes rejected by Put (capacity not a bucket size, or
+	// the bucket full).
 	Drops int64
 	// BytesLive is the number of backing-array bytes currently handed out
 	// by Get and not yet returned with Put.
@@ -121,7 +118,7 @@ func (p *Pool) Get(w, h int) *Plane {
 		return &Plane{W: w, H: h, Pix: make([]float32, n)}
 	}
 	bcap := poolBucketCap(idx)
-	pl, _ := p.buckets[idx].free.Get().(*Plane)
+	pl := p.buckets[idx].pop()
 	if pl == nil {
 		atomic.AddInt64(&p.stats.Misses, 1)
 		if p == DefaultPool {
@@ -156,7 +153,8 @@ func (p *Pool) GetZeroed(w, h int) *Plane {
 // Put returns pl to the pool. pl and its Pix slice must not be used again
 // by the caller. Planes whose backing capacity is not an exact bucket size
 // (foreign allocations, oversize planes) are dropped, not adopted — Put is
-// safe to call on any plane. Put(nil) is a no-op.
+// safe to call on any plane, and so are planes that find their bucket
+// full. Put(nil) is a no-op.
 func (p *Pool) Put(pl *Plane) {
 	if pl == nil {
 		return
@@ -178,9 +176,13 @@ func (p *Pool) Put(pl *Plane) {
 		atomic.AddInt64(&p.stats.Drops, 1)
 		return
 	}
-	atomic.AddInt64(&p.stats.Puts, 1)
 	p.check.onPut(pl)
-	p.buckets[idx].free.Put(pl)
+	if !p.buckets[idx].push(pl, freeListLimit(c*4)) {
+		p.check.onGet(pl) // dropped, not free: forget it
+		atomic.AddInt64(&p.stats.Drops, 1)
+		return
+	}
+	atomic.AddInt64(&p.stats.Puts, 1)
 }
 
 // Stats returns a snapshot of the pool's counters.

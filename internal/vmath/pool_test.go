@@ -1,6 +1,7 @@
 package vmath
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,9 +11,6 @@ import (
 // TestPoolBucketReuse proves recycling: a Put plane's backing array is the
 // one handed back by the next same-bucket Get.
 func TestPoolBucketReuse(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
-	}
 	var p Pool
 	a := p.Get(32, 16)
 	first := &a.Pix[0]
@@ -27,10 +25,62 @@ func TestPoolBucketReuse(t *testing.T) {
 	}
 }
 
-func TestPoolStatsCounters(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
+// TestPoolKeepsPlanesAcrossGC: the buckets are owned free lists, so GC
+// cycles between a Put and the next Get must not cost a reuse. Planes are
+// handed back in LIFO order.
+func TestPoolKeepsPlanesAcrossGC(t *testing.T) {
+	var p Pool
+	a, b := p.Get(64, 64), p.Get(64, 64)
+	pa, pb := &a.Pix[0], &b.Pix[0]
+	p.Put(a)
+	p.Put(b)
+	runtime.GC()
+	runtime.GC()
+	c, d := p.Get(64, 64), p.Get(64, 64)
+	if &c.Pix[0] != pb || &d.Pix[0] != pa {
+		t.Fatal("planes Put before two GC cycles were not handed back, newest first")
 	}
+	if s := p.Stats(); s.Misses != 2 || s.Hits != 2 {
+		t.Fatalf("stats %+v, want 2 misses 2 hits", s)
+	}
+}
+
+// TestPoolBucketBound: a bucket keeps at most freeListLimit planes; a Put
+// into a full bucket is dropped and counted, and a Get drains what it
+// kept without allocating.
+func TestPoolBucketBound(t *testing.T) {
+	for _, c := range []struct{ bytes, limit int }{
+		{256, freeListMax}, // smallest bucket: the count cap
+		{8 << 20, 32},      // 1080p float plane: 256 MiB of them
+		{64 << 20, 4},      // largest bucket
+		{1 << 30, 1},       // larger than the byte budget
+	} {
+		if got := freeListLimit(c.bytes); got != c.limit {
+			t.Errorf("freeListLimit(%d) = %d, want %d", c.bytes, got, c.limit)
+		}
+	}
+	const w, h = 8, 8 // the 64-element bucket
+	var p Pool
+	for i := 0; i < freeListMax+3; i++ {
+		p.Put(NewPlane(w, h))
+	}
+	if s := p.Stats(); s.Puts != freeListMax || s.Drops != 3 {
+		t.Fatalf("after %d Puts: %+v, want %d puts 3 drops", freeListMax+3, s, freeListMax)
+	}
+	before := PlaneAllocs()
+	for i := 0; i < freeListMax; i++ {
+		p.Get(w, h)
+	}
+	if d := PlaneAllocs() - before; d != 0 {
+		t.Fatalf("draining the full bucket allocated %d planes, want 0", d)
+	}
+	p.Get(w, h)
+	if d := PlaneAllocs() - before; d != 1 {
+		t.Fatalf("Get from the empty bucket allocated %d planes, want 1", d)
+	}
+}
+
+func TestPoolStatsCounters(t *testing.T) {
 	var p Pool
 	a := p.Get(16, 16) // miss
 	if s := p.Stats(); s.Misses != 1 || s.Hits != 0 {
@@ -116,9 +166,6 @@ func TestPoolConcurrent(t *testing.T) {
 // TestPoolGetPutZeroAlloc proves the steady-state contract at the pool
 // level: once a bucket is warm, Get+Put allocates nothing.
 func TestPoolGetPutZeroAlloc(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
-	}
 	var p Pool
 	p.Put(p.Get(64, 48)) // warm the bucket
 	allocs := testing.AllocsPerRun(100, func() {
@@ -137,9 +184,6 @@ func TestPoolGetPutZeroAlloc(t *testing.T) {
 // heap-allocated because fn escapes into the worker pool) are the only
 // permitted residue, bounded by a small constant per call.
 func TestIntoKernelsZeroPlaneAlloc(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
-	}
 	defer par.SetWorkers(1)()
 	src := Get(64, 48)
 	for i := range src.Pix {
