@@ -50,3 +50,25 @@ func TestRenderGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRenderIntoDirtyMatchesRender renders into NaN-filled planes — a
+// dirty pooled plane at its worst — and requires Render's output bit for
+// bit: RenderInto must overwrite every sample before it reads any.
+func TestRenderIntoDirtyMatchesRender(t *testing.T) {
+	g := NewGenerator(Categories()[3], 1)
+	for _, c := range []struct{ t, w, h int }{{0, 320, 180}, {95, 960, 540}, {7, 1, 1}} {
+		dst := vmath.NewPlane(c.w, c.h)
+		for i := range dst.Pix {
+			dst.Pix[i] = float32(math.NaN())
+		}
+		if got := g.RenderInto(dst, c.t); got != dst {
+			t.Fatalf("%dx%d: RenderInto returned a different plane", c.w, c.h)
+		}
+		want := g.Render(c.t, c.w, c.h)
+		for i, v := range dst.Pix {
+			if math.Float32bits(v) != math.Float32bits(want.Pix[i]) {
+				t.Fatalf("t=%d %dx%d: sample %d is %v, Render gives %v", c.t, c.w, c.h, i, v, want.Pix[i])
+			}
+		}
+	}
+}
