@@ -430,7 +430,19 @@ func intraCost(frame *vmath.Plane, cx, cy int) int64 {
 }
 
 // mcMB writes the motion-compensated prediction of one macroblock into dst.
+// A block whose displaced source lies inside ref is copied row by row; one
+// that reaches past an edge reads with replicate clamping.
 func mcMB(ref, dst *vmath.Plane, cx, cy int, mv MV, w, h int) {
+	bw, bh := min(MBSize, w-cx), min(MBSize, h-cy)
+	if bw <= 0 || bh <= 0 {
+		return
+	}
+	if sx, sy := cx+mv.X, cy+mv.Y; sx >= 0 && sy >= 0 && sx+bw <= ref.W && sy+bh <= ref.H {
+		for y := 0; y < bh; y++ {
+			copy(dst.Pix[(cy+y)*dst.W+cx:][:bw], ref.Pix[(sy+y)*ref.W+sx:][:bw])
+		}
+		return
+	}
 	for y := 0; y < MBSize; y++ {
 		py := cy + y
 		if py >= h {
@@ -691,7 +703,13 @@ func (d *Decoder) decodeSlice(s *Slice, out, mask *vmath.Plane) error {
 				if d.ref == nil {
 					return fmt.Errorf("skip macroblock without reference")
 				}
-				mcMB(d.ref, out, cx, cy, pred, d.cfg.W, d.cfg.H)
+				// Decode starts out as a copy of the reference, so a
+				// zero-vector skip has nothing to write — unless an
+				// earlier slice already decoded this row (slices that
+				// overlap, which only a malformed frame sends).
+				if pred != (MV{}) || cy >= d.cfg.H || mask.Pix[cy*mask.W] != 0 {
+					mcMB(d.ref, out, cx, cy, pred, d.cfg.W, d.cfg.H)
+				}
 			case modeInter:
 				if d.ref == nil {
 					return fmt.Errorf("inter macroblock without reference")
@@ -761,8 +779,23 @@ func (d *Decoder) decodeInterMB(r *bits.Reader, out *vmath.Plane, cx, cy int, mv
 }
 
 // writeInterMC reconstructs one inter block from the decoder's reference
-// (motion-compensated prediction + residual, clamped) into out.
+// (motion-compensated prediction + residual, clamped) into out. Like mcMB
+// it indexes the reference directly when the displaced block lies inside
+// it and clamps each read otherwise.
 func (d *Decoder) writeInterMC(out *vmath.Plane, x0, y0 int, mv MV, rec *[64]float32) {
+	bw, bh := min(blockSize, out.W-x0), min(blockSize, out.H-y0)
+	ref := d.ref
+	if sx, sy := x0+mv.X, y0+mv.Y; bw > 0 && bh > 0 && sx >= 0 && sy >= 0 && sx+bw <= ref.W && sy+bh <= ref.H {
+		for y := 0; y < bh; y++ {
+			orow := out.Pix[(y0+y)*out.W+x0:][:bw]
+			prow := ref.Pix[(sy+y)*ref.W+sx:][:bw]
+			rrow := rec[y*8:][:bw]
+			for x := range orow {
+				orow[x] = clamp255(prow[x] + rrow[x])
+			}
+		}
+		return
+	}
 	for y := 0; y < blockSize; y++ {
 		py := y0 + y
 		if py >= out.H {

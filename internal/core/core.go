@@ -409,13 +409,10 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	// Advance temporal state. The plane rotated out of prevPrev is no
 	// longer referenced by the decoder (two SetReference calls ago), the
 	// recovery model (which never retains its inputs) or a pending enhance
-	// stage (which reads the newer prevOut and was joined a frame ago); it
-	// can go back to the pool unless it escaped to the caller as a
-	// displayed frame, which happens exactly when enhance returns its
-	// input unchanged (no SR stage, no resize).
-	if old := c.prevPrev; old != nil && (c.hasSR || c.cfg.OutW != c.cfg.W || c.cfg.OutH != c.cfg.H) {
-		vmath.Put(old)
-	}
+	// stage (which reads the newer prevOut and was joined a frame ago), and
+	// never escapes to the caller (enhance always returns a new plane), so
+	// it goes back to the pool.
+	vmath.Put(c.prevPrev)
 	c.prevPrev = c.prevOut
 	c.prevOut = outTx
 	if in.Code != nil {
@@ -440,7 +437,8 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 }
 
 // stageEnhance is stage B of the frame graph: lift the transmission-
-// resolution frame to display resolution (SR head or plain bilinear). It
+// resolution frame to display resolution (SR head or plain bilinear; a
+// pooled copy when the resolutions are equal and SR is off). It
 // reads only outTx, the frame's tier and immutable client state (the SR
 // heads never change after NewClient), touches no client temporal state,
 // and is deterministic for any worker-pool size — the properties Pipeline
@@ -456,7 +454,9 @@ func (c *Client) stageEnhance(outTx *vmath.Plane, tier Tier) *vmath.Plane {
 	if c.cfg.OutW != c.cfg.W || c.cfg.OutH != c.cfg.H {
 		return vmath.ResizeBilinearInto(vmath.Get(c.cfg.OutW, c.cfg.OutH), outTx)
 	}
-	return outTx
+	// outTx stays the decoder's reference and prevOut: the caller gets a
+	// copy it owns, as FrameResult.Frame promises.
+	return vmath.Get(outTx.W, outTx.H).CopyFrom(outTx)
 }
 
 // conceal produces a frame when input is missing or partial.

@@ -32,9 +32,16 @@ import (
 // ObservePipelineFrame: the deadline tracker sees each slot's critical-path
 // time — the time Push actually blocks the caller, ingest(n) plus whatever
 // remains of enhance(n−1) at join — because that is what bounds the
-// sustainable frame rate. The summed stage busy time (ingest + enhance of
-// the completed frame) gets its own histogram, so the overlap won stays
-// visible as busy/critical > 1 (OBSERVABILITY.md).
+// sustainable frame rate. The join does not idle through that remainder:
+// enhance's banded loops run with the worker budget spent (the task holds
+// the spare slot), so par publishes them as open loops and the joining
+// caller runs bands of them until the task ends. On two workers the
+// critical path is then about ingest plus half of what is left of
+// enhance, rather than enhance alone. The summed stage busy time (ingest +
+// enhance of the completed frame) gets its own histogram, so the overlap
+// won stays visible as busy/critical > 1 (OBSERVABILITY.md); since the
+// helped bands count in enhance's busy time, the ratio also shows the
+// helping.
 //
 // A Pipeline wraps the Client exclusively: interleaving Push with direct
 // Next calls on the same Client is a data race on the temporal state.

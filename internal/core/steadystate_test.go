@@ -91,3 +91,61 @@ func TestSteadyStateZeroPlaneAllocs(t *testing.T) {
 		t.Fatalf("steady-state client loop allocated %d plane backing arrays over %d frames, want 0", d, frames-warm)
 	}
 }
+
+// TestNoSRFramesAreCallerOwned: a client without SR at equal resolutions
+// must still hand out frames the caller owns. A caller that scribbles on
+// every frame and Puts it back must see the same pixels as one that keeps
+// every frame; a returned plane that is still the decoder's reference
+// would corrupt the next decode (and, under -tags poolcheck, is poisoned
+// on Put). Both the sequential and the pipelined driver are checked.
+func TestNoSRFramesAreCallerOwned(t *testing.T) {
+	const frames = 16
+	sfs := pipelineServerFrames(t, frames)
+	cfg := ClientConfig{W: tw, H: th, EnableRecovery: true}
+	for _, pipelined := range []bool{false, true} {
+		run := func(recycle bool) [][]float32 {
+			cli, err := NewClient(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out [][]float32
+			keep := func(res *FrameResult) {
+				if res == nil {
+					return
+				}
+				out = append(out, append([]float32(nil), res.Frame.Pix...))
+				if recycle {
+					res.Frame.Fill(-7)
+					vmath.Put(res.Frame)
+				}
+			}
+			p := NewPipeline(cli)
+			for i := range sfs {
+				var res *FrameResult
+				if pipelined {
+					res, err = p.Push(pipelineInput(sfs, i))
+				} else {
+					res, err = cli.Next(pipelineInput(sfs, i))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				keep(res)
+			}
+			keep(p.Flush())
+			return out
+		}
+		kept, recycled := run(false), run(true)
+		if len(kept) != frames || len(recycled) != frames {
+			t.Fatalf("pipelined=%v: %d and %d frames, want %d", pipelined, len(kept), len(recycled), frames)
+		}
+		for i := range kept {
+			for j := range kept[i] {
+				if kept[i][j] != recycled[i][j] {
+					t.Fatalf("pipelined=%v frame %d pixel %d: %v when the caller Puts its frames, %v when it keeps them",
+						pipelined, i, j, recycled[i][j], kept[i][j])
+				}
+			}
+		}
+	}
+}

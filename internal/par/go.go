@@ -1,6 +1,9 @@
 package par
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Go runs fn concurrently when the global worker budget has a free slot and
 // returns a join func that blocks until fn has finished. It is the pool's
@@ -14,6 +17,11 @@ import "fmt"
 // sequential schedule and its bit-identical results. join re-raises any
 // panic from fn on the joining goroutine, and is idempotent — every call
 // after the first returns immediately.
+//
+// A join that finds its task still running does not just block: until the
+// task has finished it runs bands of open loops — the task's own loops,
+// which found the budget spent, or any other (help.go) — so the joining
+// goroutine works instead of idling. It returns only after fn has.
 func Go(fn func()) (join func()) {
 	if reserve(1) == 0 {
 		done := false
@@ -26,11 +34,18 @@ func Go(fn func()) (join func()) {
 		}
 	}
 	ch := make(chan any, 1)
+	var done atomic.Bool
+	activeGo.Add(1)
 	go func() {
-		// release before the signalling send, so a returned join() implies
-		// the budget slot is free again.
-		defer func() { ch <- recover() }()
-		defer release(1)
+		defer func() {
+			v := recover()
+			// release before the signalling send, so a returned join()
+			// implies the budget slot is free again.
+			release(1)
+			activeGo.Add(-1)
+			finished(&done)
+			ch <- v
+		}()
 		fn()
 	}()
 	joined := false
@@ -39,6 +54,7 @@ func Go(fn func()) (join func()) {
 			return
 		}
 		joined = true
+		help(&done)
 		if v := <-ch; v != nil {
 			panic(fmt.Sprintf("par: Go task panicked: %v", v))
 		}

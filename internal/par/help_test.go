@@ -1,0 +1,198 @@
+package par
+
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// bandsPer is the banded workload the helping tests share: a task of
+// several loops whose bands write disjoint slots of out.
+func bandsPer(out []uint64, seed uint64) {
+	For(len(out), func(i int) {
+		v := seed + uint64(i)
+		for k := 0; k < 200; k++ {
+			v = v*6364136223846793005 + 1442695040888963407
+		}
+		out[i] = v
+	})
+	ForRows(len(out), func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			out[y] ^= out[y] >> 17
+		}
+	})
+}
+
+// TestHelpingJoinOutputPoolIndependent runs loops inside Go tasks while
+// the caller runs its own loops and then joins, which helps: the output
+// must be the same at every pool size.
+func TestHelpingJoinOutputPoolIndependent(t *testing.T) {
+	run := func(workers int) []uint64 {
+		defer SetWorkers(workers)()
+		const n = 300
+		task, caller := make([]uint64, n), make([]uint64, n)
+		for round := uint64(0); round < 20; round++ {
+			join := Go(func() { bandsPer(task, round) })
+			bandsPer(caller, round+1000)
+			join()
+			for i := range task {
+				caller[i] += task[i]
+			}
+		}
+		return caller
+	}
+	want := run(1)
+	for _, w := range []int{2, 8} {
+		got := run(w)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: slot %d = %x, want %x (pool size 1)", w, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestJoinHelpsOwnTasksLoop: with two workers the Go task holds the only
+// spare slot, so its two-band loop has no extra worker. Each band waits
+// until the other has started; the loop can only finish if the joining
+// goroutine runs one of the bands.
+func TestJoinHelpsOwnTasksLoop(t *testing.T) {
+	defer SetWorkers(2)()
+	var started [2]chan struct{}
+	for i := range started {
+		started[i] = make(chan struct{})
+	}
+	var stuck atomic.Bool
+	join := Go(func() {
+		For(2, func(i int) {
+			close(started[i])
+			select {
+			case <-started[1-i]:
+			case <-time.After(10 * time.Second):
+				stuck.Store(true)
+			}
+		})
+	})
+	join()
+	if stuck.Load() {
+		t.Fatal("a band waited 10 s for its sibling: the join did not run a band of its task's loop")
+	}
+}
+
+// TestHelpedBandPanicReRaisedOnceByOwner: a band that panics on the
+// joining goroutine is re-raised by the loop's owner — exactly once — and
+// never by the helper.
+func TestHelpedBandPanicReRaisedOnceByOwner(t *testing.T) {
+	defer SetWorkers(2)()
+	inBand0 := make(chan struct{})
+	band1Done := make(chan struct{})
+	var raised atomic.Int32
+	var msg atomic.Value
+	join := Go(func() {
+		defer func() {
+			if v := recover(); v != nil {
+				raised.Add(1)
+				msg.Store(fmt.Sprint(v))
+			}
+		}()
+		For(2, func(i int) {
+			if i == 0 {
+				// The owner holds band 0 until the joiner has run band 1.
+				close(inBand0)
+				<-band1Done
+				return
+			}
+			defer close(band1Done)
+			panic("helped-boom")
+		})
+	})
+	<-inBand0
+	join() // helps: band 1 panics here, on the joining goroutine
+	if n := raised.Load(); n != 1 {
+		t.Fatalf("loop owner raised %d panics, want exactly 1", n)
+	}
+	if s, _ := msg.Load().(string); !strings.Contains(s, "helped-boom") {
+		t.Fatalf("owner raised %q, want the band's panic value inside", s)
+	}
+	for k := range loops {
+		if loops[k].state != slotFree {
+			t.Fatalf("open-loop slot %d left in state %d", k, loops[k].state)
+		}
+	}
+}
+
+// TestJoinNeverReturnsBeforeTask: however much helping a join does —
+// of its own task's loops or another task's — it returns only after its
+// task has finished.
+func TestJoinNeverReturnsBeforeTask(t *testing.T) {
+	defer SetWorkers(3)()
+	for round := 0; round < 200; round++ {
+		var a, b atomic.Bool
+		out := make([]uint64, 64)
+		other := make([]uint64, 64)
+		joinA := Go(func() {
+			bandsPer(out, uint64(round))
+			a.Store(true)
+		})
+		joinB := Go(func() {
+			bandsPer(other, uint64(round)+7)
+			b.Store(true)
+		})
+		joinA()
+		if !a.Load() {
+			t.Fatalf("round %d: join returned before its task finished", round)
+		}
+		joinB()
+		if !b.Load() {
+			t.Fatalf("round %d: join returned before its task finished", round)
+		}
+	}
+	if activeGo.Load() != 0 || activeExtra.Load() != 0 {
+		t.Fatalf("activeGo = %d, activeExtra = %d after every join, want 0", activeGo.Load(), activeExtra.Load())
+	}
+}
+
+// TestPublishAllocatesNothing: opening and closing a loop while a Go task
+// is in flight must not touch the heap, beyond what the sequential loop
+// already costs.
+func TestPublishAllocatesNothing(t *testing.T) {
+	defer SetWorkers(2)()
+	release := make(chan struct{})
+	join := Go(func() { <-release })
+	defer func() {
+		close(release)
+		join()
+	}()
+	sink := make([]int, 64)
+	fn := func(i int) { sink[i]++ }
+	if a := testing.AllocsPerRun(100, func() { For(len(sink), fn) }); a != 0 {
+		t.Fatalf("a published loop allocated %.1f times per run, want 0", a)
+	}
+}
+
+// TestHelpingKeepsConcurrencyBound: counting the joiner, no more than
+// Workers() goroutines ever run bands at once.
+func TestHelpingKeepsConcurrencyBound(t *testing.T) {
+	defer SetWorkers(2)()
+	var cur, peak atomic.Int64
+	band := func(int) {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
+			}
+		}
+		time.Sleep(50 * time.Microsecond)
+		cur.Add(-1)
+	}
+	for round := 0; round < 20; round++ {
+		join := Go(func() { For(16, band) })
+		join()
+	}
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("observed %d concurrent bands, pool size is 2", p)
+	}
+}

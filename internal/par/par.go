@@ -13,8 +13,12 @@
 //  2. Bounded concurrency under nesting. One global budget of
 //     Workers()-1 extra workers is shared by every call in the process: an
 //     inner parallel loop running on a pool worker finds the budget spent
-//     and degrades to the plain sequential loop instead of oversubscribing
-//     the machine.
+//     and runs on the calling goroutine instead of oversubscribing the
+//     machine.
+//     While a Go task is in flight such a loop is also published as an
+//     open loop (help.go), and a goroutine blocked in a Go join runs bands
+//     of open loops until its task has finished: the joiner would
+//     otherwise sit idle, so helping adds no goroutine to the count.
 //  3. Cheap dispatch. Workers pull indices from an atomic cursor — no
 //     channels, no per-task allocations, no persistent goroutines to leak.
 //
@@ -112,7 +116,9 @@ func (p *firstPanic) record(v any) {
 
 // run executes fn(i) for every i in [0, tasks), using the caller's
 // goroutine plus however many extra workers the global budget grants.
-// Workers pull indices in ascending order from a shared cursor.
+// Workers pull indices in ascending order from a shared cursor. A loop
+// granted no extra worker while a Go task is in flight pulls its indices
+// from an open loop instead, which joiners may help (help.go).
 func run(tasks int, fn func(i int)) {
 	if tasks <= 0 {
 		return
@@ -122,6 +128,12 @@ func run(tasks int, fn func(i int)) {
 		extra = reserve(min(tasks-1, Workers()-1))
 	}
 	if extra == 0 {
+		if tasks > 1 && activeGo.Load() > 0 {
+			if l := publish(tasks, fn); l != nil {
+				l.own()
+				return
+			}
+		}
 		for i := 0; i < tasks; i++ {
 			fn(i)
 		}

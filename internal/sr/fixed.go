@@ -24,8 +24,6 @@ type FastUpscaler struct {
 	cfg     Config
 	sharp   *vmath.BytePlane // persistent pooled LR scratch, non-2× geometries
 	scratch []byte           // owned row cache of the fused exact-2× kernel
-	lrB     *vmath.BytePlane // Upscale's owned LR shadow
-	outB    *vmath.BytePlane // Upscale's owned output shadow
 }
 
 // NewFast builds the byte-plane head for the configuration. Only OutW,
@@ -44,7 +42,6 @@ func (s *FastUpscaler) Reset() {
 	vmath.PutBytes(s.sharp)
 	s.sharp = nil
 	s.scratch = nil
-	s.lrB, s.outB = nil, nil
 }
 
 // boost256 derives the Q8 sharpening amount from the upscale factor with
@@ -98,21 +95,25 @@ func (s *FastUpscaler) UpscaleBytesInto(dst, lr *vmath.BytePlane) *vmath.BytePla
 	return dst
 }
 
-// Upscale is the float-plane convenience wrapper: it shadows lr into a
-// byte plane, runs the byte head and converts back. The returned plane is
-// pool-backed and owned by the caller, like SuperResolver's. Both byte
-// shadows are owned by the head (sized on first call, dropped by Reset),
-// so its only pool traffic is the returned plane: in a pipelined client
-// the enhance stage then draws no byte plane that the concurrent ingest
-// stage might also need. Hot callers should hold byte planes and call
-// UpscaleBytesInto directly to skip both conversions.
+// Upscale is the float-plane form of the head. The returned plane is
+// pool-backed and owned by the caller, like SuperResolver's. At exactly 2×
+// the fused kernel reads and writes the float planes itself
+// (vmath.SharpenUpscale2xInto), quantising each LR row and widening each
+// output row pair inside its banded pass, on the same owned row cache as
+// UpscaleBytesInto: no byte plane and no whole-frame conversion, and no
+// pool traffic but the returned plane. Other ratios shadow lr into a
+// pooled byte plane, run UpscaleBytesInto and convert back.
 func (s *FastUpscaler) Upscale(lr *vmath.Plane) *vmath.Plane {
-	if s.lrB == nil || s.lrB.W != lr.W || s.lrB.H != lr.H {
-		s.lrB = vmath.NewBytePlane(lr.W, lr.H)
+	out := vmath.Get(s.cfg.OutW, s.cfg.OutH)
+	if out.W == 2*lr.W && out.H == 2*lr.H {
+		defer telemetry.Start(telemetry.StageSR).Stop()
+		s.scratch = vmath.SharpenUpscale2xInto(out, lr, s.boost256(lr.W), s.scratch)
+		return out
 	}
-	if s.outB == nil {
-		s.outB = vmath.NewBytePlane(s.cfg.OutW, s.cfg.OutH)
-	}
-	s.UpscaleBytesInto(s.outB, s.lrB.FromPlane(lr))
-	return s.outB.ToPlane(vmath.Get(s.cfg.OutW, s.cfg.OutH))
+	lrB := vmath.GetBytes(lr.W, lr.H).FromPlane(lr)
+	outB := vmath.GetBytes(s.cfg.OutW, s.cfg.OutH)
+	s.UpscaleBytesInto(outB, lrB).ToPlane(out)
+	vmath.PutBytes(lrB)
+	vmath.PutBytes(outB)
+	return out
 }

@@ -124,3 +124,30 @@ func TestFastUpscaleParallelBitExact(t *testing.T) {
 		}
 	}
 }
+
+// TestFastUpscaleFloatMatchesBytePath: Upscale's float front end is
+// bit-identical to shadowing lr with FromPlane, running UpscaleBytesInto
+// and converting back with ToPlane, on fractional inputs outside
+// [0, 255], at every sharpen regime and at pool sizes 1, 2 and 8.
+func TestFastUpscaleFloatMatchesBytePath(t *testing.T) {
+	for _, sz := range []struct{ w, h int }{{960, 540}, {97, 53}, {33, 17}, {5, 3}, {2, 2}, {1, 1}} {
+		lr := noisyPlane(sz.w, sz.h, int64(sz.w+7*sz.h))
+		for _, boost := range []float32{0, 90.0 / 256, -1} { // a256 = 20 at 2×, 90, none
+			cfg := Config{OutW: 2 * sz.w, OutH: 2 * sz.h, DetailBoost: boost}
+			want := NewFast(cfg).UpscaleBytesInto(vmath.NewBytePlane(cfg.OutW, cfg.OutH),
+				vmath.NewBytePlane(sz.w, sz.h).FromPlane(lr)).ToPlane(vmath.NewPlane(cfg.OutW, cfg.OutH))
+			for _, workers := range []int{1, 2, 8} {
+				restore := par.SetWorkers(workers)
+				got := NewFast(cfg).Upscale(lr)
+				restore()
+				for i := range want.Pix {
+					if got.Pix[i] != want.Pix[i] {
+						t.Fatalf("%dx%d boost %v workers=%d: pixel %d is %v, byte path %v",
+							sz.w, sz.h, boost, workers, i, got.Pix[i], want.Pix[i])
+					}
+				}
+				vmath.Put(got)
+			}
+		}
+	}
+}

@@ -177,8 +177,8 @@ func ResizeBilinearBytesInto(dst, src *BytePlane) *BytePlane {
 		return dst
 	}
 	if is2x(dst, src) {
-		buf := GetBytes(up2xBands(src.H)*up2xBandBytes(src.W, false), 1)
-		upscale2x(dst, src, 0, buf.Pix)
+		buf := GetBytes(up2xBands(src.H)*up2xBandBytes(src.W, false, false), 1)
+		upscale2x(up2xIO{srcB: src, dstB: dst, w: src.W, h: src.H}, 0, buf.Pix)
 		PutBytes(buf)
 		return dst
 	}

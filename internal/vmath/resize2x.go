@@ -30,6 +30,13 @@ package vmath
 // Work runs in bands of up2xBand LR rows, each with its own halo rows and
 // its own slice of the scratch, so every band is a pure function of src
 // and the output is the same for any pool size.
+//
+// The kernel's ends are byte planes or float planes. From a float plane
+// each LR row is quantised with PixelByte into band scratch as the band
+// first needs it, and each pair of output rows is blended into band
+// scratch and widened to float32 while it is still in L1: the result is
+// bit-identical to FromPlane, the byte kernel and ToPlane, without either
+// whole-frame conversion outside the banded pass.
 
 import (
 	"encoding/binary"
@@ -52,11 +59,15 @@ func up2xGroups(w int) int { return (w + 3) / 4 }
 
 // up2xBandBytes is one band's scratch: three lifted rows and, when
 // sharpening, three horizontal [1 2 1] rows (one four-lane word per group)
-// plus one sharpened LR row.
-func up2xBandBytes(w int, sharpen bool) int {
+// plus one sharpened LR row; with float ends, three quantised LR rows and
+// one pair of output rows on top.
+func up2xBandBytes(w int, sharpen, float bool) int {
 	n := 3 * 16 * up2xGroups(w)
 	if sharpen {
 		n += 3*8*up2xGroups(w) + w
+	}
+	if float {
+		n += 3*w + 4*w
 	}
 	return n
 }
@@ -66,6 +77,15 @@ func up2xBands(h int) int { return (h + up2xBand - 1) / up2xBand }
 // is2x reports whether dst is exactly twice src on both axes.
 func is2x(dst, src *BytePlane) bool {
 	return dst.W == 2*src.W && dst.H == 2*src.H
+}
+
+// up2xIO holds the banded kernel's ends: byte planes (srcB, dstB) read and
+// written in place, or float planes (srcF, dstF) converted a row at a
+// time in band scratch. Exactly one pair is set.
+type up2xIO struct {
+	srcB, dstB *BytePlane
+	srcF, dstF *Plane
+	w, h       int // LR geometry
 }
 
 // SharpenUpscale2xBytesInto writes the exact 2× bilinear upscale of
@@ -79,31 +99,59 @@ func SharpenUpscale2xBytesInto(dst, src *BytePlane, a256 int32, scratch []byte) 
 	if !is2x(dst, src) {
 		panic(fmt.Sprintf("vmath: dst %dx%d is not 2× src %dx%d", dst.W, dst.H, src.W, src.H))
 	}
-	if src.W == 0 || src.H == 0 {
+	return sharpenUpscale2x(up2xIO{srcB: src, dstB: dst, w: src.W, h: src.H}, a256, scratch)
+}
+
+// SharpenUpscale2xInto is SharpenUpscale2xBytesInto between float planes:
+// dst is bit-identical to ToPlane of the byte kernel's output on
+// FromPlane(src), with the conversions done row by row inside the banded
+// pass. dst must be exactly 2·src.W × 2·src.H and must not alias src;
+// scratch is grown and returned as for the byte form.
+func SharpenUpscale2xInto(dst, src *Plane, a256 int32, scratch []byte) []byte {
+	if dst.W != 2*src.W || dst.H != 2*src.H {
+		panic(fmt.Sprintf("vmath: dst %dx%d is not 2× src %dx%d", dst.W, dst.H, src.W, src.H))
+	}
+	return sharpenUpscale2x(up2xIO{srcF: src, dstF: dst, w: src.W, h: src.H}, a256, scratch)
+}
+
+func sharpenUpscale2x(io up2xIO, a256 int32, scratch []byte) []byte {
+	if io.w == 0 || io.h == 0 {
 		return scratch
 	}
-	if n := up2xBands(src.H) * up2xBandBytes(src.W, a256 > 0); cap(scratch) < n {
+	if n := up2xBands(io.h) * up2xBandBytes(io.w, a256 > 0, io.srcF != nil); cap(scratch) < n {
 		scratch = make([]byte, n)
 	}
-	upscale2x(dst, src, a256, scratch)
+	upscale2x(io, a256, scratch)
 	return scratch
 }
 
-// upscale2x runs the banded kernel; scratch must hold up2xBands(src.H)
+// upscale2x runs the banded kernel; scratch must hold up2xBands(io.h)
 // band scratches. Every scratch byte is written before it is read.
-func upscale2x(dst, src *BytePlane, a256 int32, scratch []byte) {
-	w, h := src.W, src.H
+func upscale2x(io up2xIO, a256 int32, scratch []byte) {
+	w, h := io.w, io.h
 	lb := 16 * up2xGroups(w)
-	per := up2xBandBytes(w, a256 > 0)
+	per := up2xBandBytes(w, a256 > 0, io.srcF != nil)
 	par.For(up2xBands(h), func(b int) {
 		buf := scratch[b*per : (b+1)*per]
-		rows := up2xRows{src: src, a256: a256, y: -1}
+		rows := up2xRows{io: io, a256: a256, y: -1}
+		rest := buf[3*lb:]
 		if a256 > 0 {
-			hs, sb := buf[3*lb:], 8*up2xGroups(w)
+			sb := 8 * up2xGroups(w)
 			for i := range rows.h {
-				rows.h[i] = hs[i*sb : (i+1)*sb]
+				rows.h[i] = rest[i*sb : (i+1)*sb]
 			}
-			rows.sharp = hs[3*sb : 3*sb+w]
+			rows.sharp = rest[3*sb : 3*sb+w]
+			rest = rest[3*sb+w:]
+		}
+		// out0, out1 receive each pair of output rows: dst's own rows, or
+		// scratch rows widened into dstF after the blend.
+		var out0, out1 []byte
+		if io.srcF != nil {
+			for i := range rows.q {
+				rows.q[i] = rest[i*w : (i+1)*w]
+				rows.qy[i] = -1
+			}
+			out0, out1 = rest[3*w:5*w], rest[5*w:7*w]
 		}
 		k0 := b * up2xBand
 		k1 := min(k0+up2xBand, h)
@@ -113,27 +161,56 @@ func upscale2x(dst, src *BytePlane, a256 int32, scratch []byte) {
 		lift2x(mid, rows.row(k0))
 		for k := k0; k < k1; k++ {
 			lift2x(down, rows.row(min(k+1, h-1)))
-			blend2x(dst.Pix[2*k*2*w:(2*k+1)*2*w], dst.Pix[(2*k+1)*2*w:(2*k+2)*2*w], up, mid, down)
+			r0, r1 := 2*k*2*w, (2*k+1)*2*w
+			if io.dstB != nil {
+				out0, out1 = io.dstB.Pix[r0:r0+2*w], io.dstB.Pix[r1:r1+2*w]
+			}
+			blend2x(out0, out1, up, mid, down)
+			if io.dstF != nil {
+				widenRow(io.dstF.Pix[r0:r0+2*w], out0)
+				widenRow(io.dstF.Pix[r1:r1+2*w], out1)
+			}
 			up, mid, down = mid, down, up
 		}
 	})
 }
 
 // up2xRows serves a band's LR rows, each call asking for the row of the
-// previous call or the one after it: src rows as they are, or — when
+// previous call or the one after it: source rows as they are, or — when
 // a256 > 0 — sharpened exactly as SharpenBytesInto would, from a rolling
 // window of horizontal [1 2 1] rows.
 type up2xRows struct {
-	src   *BytePlane
+	io    up2xIO
 	a256  int32
 	h     [3][]byte // [1 2 1] row sums of rows y−1, y, y+1 (clamped)
 	sharp []byte    // sharpened row y
 	y     int       // row held in sharp; −1 before the first
+	q     [3][]byte // float source: quantised LR rows, row r in q[r%3]
+	qy    [3]int    // the row each q holds; −1 when none
+}
+
+// src returns LR row y as bytes: the byte source's own row, or the float
+// source's row quantised with PixelByte. A band only ever needs the rows
+// of a window y−1…y+1, which the three q buffers hold without eviction,
+// so each row is quantised once per band.
+func (r *up2xRows) src(y int) []byte {
+	w := r.io.w
+	if r.io.srcB != nil {
+		return r.io.srcB.Pix[y*w : y*w+w]
+	}
+	q := r.q[y%3]
+	if r.qy[y%3] != y {
+		for x, v := range r.io.srcF.Pix[y*w : y*w+w] {
+			q[x] = PixelByte(v)
+		}
+		r.qy[y%3] = y
+	}
+	return q
 }
 
 func (r *up2xRows) row(y int) []byte {
-	w, h := r.src.W, r.src.H
-	srow := r.src.Pix[y*w : y*w+w]
+	h := r.io.h
+	srow := r.src(y)
 	if r.a256 <= 0 {
 		return srow
 	}
@@ -141,15 +218,23 @@ func (r *up2xRows) row(y int) []byte {
 		return r.sharp
 	}
 	if r.y < 0 {
-		hsum121(r.h[0], r.src.Pix[max(y-1, 0)*w:][:w])
+		hsum121(r.h[0], r.src(max(y-1, 0)))
 		hsum121(r.h[1], srow)
 	} else {
 		r.h[0], r.h[1], r.h[2] = r.h[1], r.h[2], r.h[0]
 	}
-	hsum121(r.h[2], r.src.Pix[min(y+1, h-1)*w:][:w])
+	hsum121(r.h[2], r.src(min(y+1, h-1)))
 	r.y = y
 	unsharpRow(r.sharp, srow, r.h[0], r.h[1], r.h[2], r.a256)
 	return r.sharp
+}
+
+// widenRow writes the bytes of s into dst as float32 pixels.
+func widenRow(dst []float32, s []byte) {
+	dst = dst[:len(s)]
+	for x, v := range s {
+		dst[x] = float32(v)
+	}
 }
 
 // quad returns the four LR pixels of group x = 4g…4g+3 as uint16 lanes (c)
