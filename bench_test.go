@@ -127,9 +127,6 @@ func BenchmarkAblationSharedFlow(b *testing.B) { runExp(b, "abl-flow") }
 // BenchmarkAblationBufferSize sweeps the client buffer cap.
 func BenchmarkAblationBufferSize(b *testing.B) { runExp(b, "abl-buffer") }
 
-// BenchmarkAblationDetailHead compares the analytic and learned SR heads.
-func BenchmarkAblationDetailHead(b *testing.B) { runExp(b, "abl-head") }
-
 // ---- Component micro-benchmarks ----
 
 // BenchmarkEndToEndFrame measures one complete server→client frame at the

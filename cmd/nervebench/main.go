@@ -14,8 +14,6 @@
 //	nervebench -quick               # reduced workload
 //	nervebench -workers 1 -exp fig7 # pin the worker pool (also: NERVE_WORKERS)
 //	nervebench -all -quick -telemetry BENCH_telemetry.json
-//	nervebench -stages -quick       # pipelined 1080p session: stage p50/p99 + overlap
-//	nervebench -stages -tier auto   # same, kernel tier picked per frame by the governor
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"os"
 
 	"nerve"
-	"nerve/internal/core"
 	"nerve/internal/par"
 	"nerve/internal/telemetry"
 )
@@ -41,8 +38,6 @@ func main() {
 		telPath   = flag.String("telemetry", "", "write a BENCH_telemetry.json snapshot of the run to this file")
 		telEvents = flag.String("telemetry-events", "", "stream telemetry events (JSON lines) to this file")
 		fps       = flag.Float64("fps", 30, "frame-deadline target in frames per second (with -telemetry)")
-		stages    = flag.Bool("stages", false, "run a pipelined 1080p client session and dump per-stage p50/p99 plus the overlap ratio")
-		tierFlag  = flag.String("tier", "auto", "kernel tier policy for -stages: float, fixed or auto (deadline governor)")
 	)
 	flag.Parse()
 	if *workers > 0 {
@@ -68,11 +63,6 @@ func main() {
 	case *list:
 		for _, id := range nerve.ExperimentIDs() {
 			fmt.Println(id)
-		}
-	case *stages:
-		var tier core.Tier
-		if tier, runErr = core.ParseTier(*tierFlag); runErr == nil {
-			runErr = runStages(os.Stdout, *quick, *seed, tier)
 		}
 	case *all:
 		runErr = nerve.RunAllExperiments(opts, os.Stdout)

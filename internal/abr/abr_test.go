@@ -233,25 +233,6 @@ func TestEnhancementAwareNames(t *testing.T) {
 	}
 }
 
-func TestPensieveFeatureShape(t *testing.T) {
-	p := NewPensieve(1)
-	s := mkState(10, 2e6, 2)
-	f := p.Features(s)
-	if len(f) != PensieveStateDim() {
-		t.Fatalf("feature dim %d want %d", len(f), PensieveStateDim())
-	}
-	r := p.SelectRate(s)
-	if r < 0 || r >= len(video.Resolutions()) {
-		t.Fatalf("invalid action %d", r)
-	}
-	// Exploration path.
-	p.Explore = true
-	a, lp, feat := p.SelectRateLogged(s)
-	if a < 0 || a >= len(video.Resolutions()) || lp > 0 || len(feat) != PensieveStateDim() {
-		t.Fatalf("logged selection: a=%d lp=%v", a, lp)
-	}
-}
-
 func TestMaxPredictionError(t *testing.T) {
 	if maxPredictionError([]float64{5}, 5) != 0 {
 		t.Fatal("single sample")

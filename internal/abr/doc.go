@@ -1,8 +1,12 @@
 // Package abr implements the adaptive-bitrate controllers of the
 // reproduction: the classical baselines (rate-based, buffer-based, BOLA,
-// robustMPC, a Pensieve-flavoured learned policy), the paper's
-// enhancement-aware §6 algorithm, and the BBA-2 family with its two
-// cross-layer variants.
+// robustMPC), the paper's enhancement-aware §6 algorithm, and the BBA-2
+// family with its two cross-layer variants.
+//
+// The §6 controller (EnhancementAware) is a model-based planner, not a
+// learned policy: per chunk it takes the QoE argmax over offline-calibrated
+// quality maps (PSNR after recovery and super-resolution per rung and loss
+// rate) and device enhancement times, fed by a throughput estimate.
 //
 // Every controller implements Algorithm: given a State snapshot it returns
 // the ladder index (into video.Resolutions) for the next chunk. State

@@ -15,8 +15,6 @@ func NewByName(name string) Algorithm {
 		return NewBOLA()
 	case "robust-mpc", "mpc":
 		return NewMPC()
-	case "pensieve-ppo", "pensieve":
-		return NewPensieve(1)
 	case "bba2":
 		return NewBBA2()
 	case "bba2-loss":
@@ -30,7 +28,7 @@ func NewByName(name string) Algorithm {
 // Names lists the wire names NewByName accepts, canonical form first.
 func Names() []string {
 	return []string{
-		"rate-based", "buffer-based", "bola", "robust-mpc", "pensieve-ppo",
-		"bba2", "bba2-loss", "bba2-rtt",
+		"rate-based", "buffer-based", "bola", "robust-mpc", "bba2",
+		"bba2-loss", "bba2-rtt",
 	}
 }

@@ -1,7 +1,3 @@
-// Package abr implements adaptive-bitrate algorithms: the classical
-// baselines (rate-based, buffer-based, MPC), a Pensieve-style PPO policy,
-// and the paper's enhancement-aware ABR (§6), which selects the rate
-// maximising the QoE *after* client-side recovery and super-resolution.
 package abr
 
 import "math"

@@ -28,20 +28,15 @@ import (
 //
 // The price of the overlap is one slot of latency: Push(n) returns frame
 // n−1 (nil on the first call), and Flush drains the last frame at end of
-// stream. Per-frame telemetry moves from ObserveFrame to
-// ObservePipelineFrame: the deadline tracker sees each slot's critical-path
-// time — the time Push actually blocks the caller, ingest(n) plus whatever
-// remains of enhance(n−1) at join — because that is what bounds the
-// sustainable frame rate. The join does not idle through that remainder:
-// enhance's banded loops run with the worker budget spent (the task holds
-// the spare slot), so par publishes them as open loops and the joining
-// caller runs bands of them until the task ends. On two workers the
-// critical path is then about ingest plus half of what is left of
-// enhance, rather than enhance alone. The summed stage busy time (ingest +
-// enhance of the completed frame) gets its own histogram, so the overlap
-// won stays visible as busy/critical > 1 (OBSERVABILITY.md); since the
-// helped bands count in enhance's busy time, the ratio also shows the
-// helping.
+// stream. The deadline tracker (telemetry ObserveFrame) sees each slot's
+// critical-path time — the time Push actually blocks the caller, ingest(n)
+// plus whatever remains of enhance(n−1) at join — because that is what
+// bounds the sustainable frame rate. The join does not idle through that
+// remainder: enhance's banded loops run with the worker budget spent (the
+// task holds the spare slot), so par publishes them as open loops and the
+// joining caller runs bands of them until the task ends. On two workers
+// the critical path is then about ingest plus half of what is left of
+// enhance, rather than enhance alone.
 //
 // A Pipeline wraps the Client exclusively: interleaving Push with direct
 // Next calls on the same Client is a data race on the temporal state.
@@ -49,7 +44,7 @@ type Pipeline struct {
 	c *Client
 
 	// Frame in flight: result of the pending stage B, its join handle, and
-	// the timing halves of the telemetry record.
+	// the stage busy times the governor observes.
 	pending *FrameResult
 	join    func()
 	ingest  time.Duration // stage A busy time of the pending frame
@@ -81,12 +76,11 @@ func (p *Pipeline) Push(in Input) (*FrameResult, error) {
 	if p.pending != nil {
 		p.join()
 		done = p.pending
-		// busy = what the completed frame cost across both stages;
-		// critical = how long this Push blocked the caller (ingest of the
-		// new slot + the tail of the joined enhance). Their totals' ratio
-		// is the snapshot's overlap figure. The governor sees the busy
-		// time — what the frame actually cost, not what the overlap hid.
-		telemetry.Default.ObservePipelineFrame(p.ingest+p.enhance, time.Since(start))
+		// The deadline tracker sees how long this Push blocked the caller
+		// (ingest of the new slot + the tail of the joined enhance). The
+		// governor sees the busy time — what the frame actually cost
+		// across both stages, not what the overlap hid.
+		telemetry.Default.ObserveFrame(time.Since(start))
 		p.c.observeGov(done, p.ingest+p.enhance)
 	}
 	p.pending = res
@@ -113,7 +107,7 @@ func (p *Pipeline) Flush() *FrameResult {
 	p.join = nil
 	// The drain slot has no new ingest to hide the join behind: its
 	// critical path is its own ingest plus the remaining enhance tail.
-	telemetry.Default.ObservePipelineFrame(p.ingest+p.enhance, p.ingest+time.Since(start))
+	telemetry.Default.ObserveFrame(p.ingest + time.Since(start))
 	p.c.observeGov(done, p.ingest+p.enhance)
 	return done
 }

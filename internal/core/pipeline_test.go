@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nerve/internal/par"
+	"nerve/internal/telemetry"
 	"nerve/internal/video"
 	"nerve/internal/vmath"
 )
@@ -150,6 +151,45 @@ func TestPipelineFlushIsIdempotent(t *testing.T) {
 	}
 	if res := p.Flush(); res != nil {
 		t.Fatalf("second Flush returned %v, want nil", res)
+	}
+}
+
+// TestPipelineRecordsOneDeadlineFramePerSlot: every completed slot feeds
+// the deadline tracker exactly once — N Pushes plus the Flush that drains
+// the last frame record N frames (the first Push completes nothing). The
+// client runs without SR so it draws no display-size planes from the pool
+// the zero-allocation tests below warm.
+func TestPipelineRecordsOneDeadlineFramePerSlot(t *testing.T) {
+	defer par.SetWorkers(2)()
+	const frames = 6
+	sfs := pipelineServerFrames(t, frames)
+	cli, err := NewClient(ClientConfig{W: tw, H: th, EnableRecovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	telemetry.Default.Reset()
+	telemetry.Enable(true)
+	defer func() {
+		telemetry.Enable(false)
+		telemetry.Default.Reset()
+	}()
+	p := NewPipeline(cli)
+	for i := range sfs {
+		res, err := p.Push(pipelineInput(sfs, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != nil {
+			vmath.Put(res.Frame)
+		}
+	}
+	last := p.Flush()
+	if last == nil {
+		t.Fatal("Flush returned no frame")
+	}
+	vmath.Put(last.Frame)
+	if got := telemetry.Default.Snapshot().Deadline.Frames; got != frames {
+		t.Fatalf("deadline tracker recorded %d frames for %d slots", got, frames)
 	}
 }
 

@@ -35,19 +35,6 @@ func (t Tier) String() string {
 	}
 }
 
-// ParseTier maps the CLI spellings onto a Tier.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "float":
-		return TierFloat, nil
-	case "fixed":
-		return TierFixed, nil
-	case "auto":
-		return TierAuto, nil
-	}
-	return TierFloat, fmt.Errorf("core: unknown tier %q (want float, fixed or auto)", s)
-}
-
 // Per-session tier accounting (OBSERVABILITY.md, snapshot schema 3).
 var (
 	cTierFloatFrames = telemetry.NewCounter("tier.float_frames")

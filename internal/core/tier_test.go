@@ -10,19 +10,6 @@ import (
 
 const budget30 = time.Second / 30
 
-// TestTierParseRoundTrip pins the CLI spellings.
-func TestTierParseRoundTrip(t *testing.T) {
-	for _, tier := range []Tier{TierFloat, TierFixed, TierAuto} {
-		got, err := ParseTier(tier.String())
-		if err != nil || got != tier {
-			t.Errorf("ParseTier(%q) = (%v, %v), want (%v, nil)", tier.String(), got, err, tier)
-		}
-	}
-	if _, err := ParseTier("fast"); err == nil {
-		t.Error("ParseTier accepted an unknown tier")
-	}
-}
-
 // TestTierGovernorSeeding: with no observations the governor trusts the
 // device-model seeds — a float seed inside the budget opens the stream in
 // float, one over it opens fixed (with a probe already scheduled).

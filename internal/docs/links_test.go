@@ -42,10 +42,9 @@ func skipTarget(target string) bool {
 		strings.HasPrefix(target, "#")
 }
 
-// TestDocLinks fails on any relative Markdown link whose target does not
-// exist on disk, in every *.md of the repository.
-func TestDocLinks(t *testing.T) {
-	root := repoRoot(t)
+// markdownFiles returns every *.md of the repository below root.
+func markdownFiles(t *testing.T, root string) []string {
+	t.Helper()
 	var mdFiles []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -70,7 +69,14 @@ func TestDocLinks(t *testing.T) {
 	if len(mdFiles) == 0 {
 		t.Fatal("no Markdown files found — walk is broken")
 	}
-	for _, md := range mdFiles {
+	return mdFiles
+}
+
+// TestDocLinks fails on any relative Markdown link whose target does not
+// exist on disk, in every *.md of the repository.
+func TestDocLinks(t *testing.T) {
+	root := repoRoot(t)
+	for _, md := range markdownFiles(t, root) {
 		data, err := os.ReadFile(md)
 		if err != nil {
 			t.Fatal(err)

@@ -11,10 +11,8 @@ import (
 	"nerve/internal/netem"
 	"nerve/internal/recovery"
 	"nerve/internal/sim"
-	"nerve/internal/sr"
 	"nerve/internal/trace"
 	"nerve/internal/video"
-	"nerve/internal/vmath"
 )
 
 // AblationCodeResolution varies the binary point code geometry and measures
@@ -233,47 +231,6 @@ func AblationBufferSize(opts Options) *Table {
 		}
 		n := float64(len(traces))
 		t.AddRow(fmt.Sprintf("%.0f", buf), fmt.Sprintf("%.3f", q/n), fmt.Sprintf("%.1f", 100*rec/n))
-	}
-	return t
-}
-
-// AblationDetailHead compares the analytic sharpening head against the
-// nn-trained residual head (§5's learned per-resolution convolution)
-// on top of the shared SR pipeline.
-func AblationDetailHead(opts Options) *Table {
-	dispW, dispH := dnnGeometry(opts)
-	frames := 8
-	if !opts.Quick {
-		frames = 20
-	}
-	iters := 150
-	if !opts.Quick {
-		iters = 600
-	}
-	head := sr.TrainLearnedHead(4, iters, opts.Seed)
-	lw, lh := dispW/4, dispH/4
-	src := testClips(opts)[0]
-
-	t := &Table{
-		ID:     "abl-head",
-		Title:  "Ablation: analytic vs learned per-resolution detail head (4×)",
-		Header: []string{"head", "PSNR", "SSIM"},
-		Notes:  []string{"the learned head realises §5's residual learning target with internal/nn"},
-	}
-	for _, mode := range []string{"analytic", "learned"} {
-		cfg := sr.Config{OutW: dispW, OutH: dispH}
-		if mode == "learned" {
-			cfg.LearnedHead = head
-		}
-		resolver := sr.New(cfg)
-		g := src.Generator()
-		var s metrics.Series
-		for i := 0; i < frames; i++ {
-			truth := g.Render(30+i, dispW, dispH)
-			lr := vmath.ResizeBilinear(truth, lw, lh)
-			s.ObserveFrames(truth, resolver.Upscale(lr))
-		}
-		t.AddRow(mode, fmt.Sprintf("%.2f", s.MeanPSNR()), fmt.Sprintf("%.3f", s.MeanSSIM()))
 	}
 	return t
 }

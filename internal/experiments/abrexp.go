@@ -12,15 +12,10 @@ import (
 )
 
 // abrMatrixAlgorithms is the controller set of the cross-layer ABR matrix:
-// the classical baselines plus the BBA-2 family with its two cross-layer
-// variants (EXPERIMENTS.md "Cross-layer ABR"). Pensieve is excluded — an
-// untrained policy only adds noise to the comparison.
-func abrMatrixAlgorithms() []string {
-	return []string{
-		"rate-based", "buffer-based", "bola", "robust-mpc",
-		"bba2", "bba2-loss", "bba2-rtt",
-	}
-}
+// every controller abr.NewByName builds — the classical baselines plus the
+// BBA-2 family with its two cross-layer variants (EXPERIMENTS.md
+// "Cross-layer ABR").
+func abrMatrixAlgorithms() []string { return abr.Names() }
 
 // abrMatrixLossScales are the loss axis points: as-recorded traces and the
 // paper's lossy setting (Figs. 15/16 use 6×).

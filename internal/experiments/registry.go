@@ -89,7 +89,6 @@ var Registry = map[string]Runner{
 	"abl-fec":    func(o Options, w io.Writer) error { return printAll(w, AblationFECScheme(o)) },
 	"abl-flow":   func(o Options, w io.Writer) error { return printAll(w, AblationSharedFlow(o)) },
 	"abl-buffer": func(o Options, w io.Writer) error { return printAll(w, AblationBufferSize(o)) },
-	"abl-head":   func(o Options, w io.Writer) error { return printAll(w, AblationDetailHead(o)) },
 }
 
 // IDs returns every registered experiment ID in sorted order.

@@ -15,7 +15,7 @@ import (
 
 // Params configures the metric.
 type Params struct {
-	// RebufferPenalty is µ. The Pensieve/MPC literature uses 4.3 for the
+	// RebufferPenalty is µ. The MPC literature uses 4.3 for the
 	// "linear QoE" variant; the default follows it.
 	RebufferPenalty float64
 	// SmoothnessPenalty scales the |ΔR| term (1.0 in the paper formula).

@@ -243,29 +243,6 @@ func TestSeriesAndRedundancyBookkeeping(t *testing.T) {
 	}
 }
 
-func TestTrainPensieveImproves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training is slow")
-	}
-	traces := []*trace.Trace{downTrace(trace.Net4G, 201), downTrace(trace.Net5G, 202)}
-	eval := func(p interface {
-		SelectRate(s interface{}) int
-	}) float64 {
-		return 0
-	}
-	_ = eval
-	agent := TrainPensieve(traces, 30, 42)
-	evalTrace := downTrace(trace.Net4G, 203)
-	res := Run(Config{Trace: evalTrace, Seed: 11}, Scheme{Name: "pensieve", ABR: agent})
-	// An untrained agent (0 episodes) for comparison.
-	untrained := TrainPensieve(traces, 0, 43)
-	res0 := Run(Config{Trace: evalTrace, Seed: 11}, Scheme{Name: "pensieve0", ABR: untrained})
-	t.Logf("pensieve trained %.3f vs untrained %.3f", res.QoE, res0.QoE)
-	if res.QoE < res0.QoE-0.3 {
-		t.Fatalf("training made the agent much worse: %.3f vs %.3f", res.QoE, res0.QoE)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	tr := downTrace(trace.Net3G, 5)
 	cfg := Config{Trace: tr}.withDefaults()

@@ -19,7 +19,7 @@
 //
 // The per-frame path is built on the destination-passing Into kernels and
 // the plane pool of internal/vmath (ResizeBicubicInto, UnsharpMaskInto,
-// LearnedHead.ApplyInto, warp.BackwardInto, …): a warmed-up resolver
+// warp.BackwardInto, …): a warmed-up resolver
 // performs zero plane allocations per Upscale call. See DESIGN.md §9.
 package sr
 
@@ -46,10 +46,6 @@ type Config struct {
 	// DetailBoost overrides the per-resolution sharpening strength when
 	// non-zero; by default it is derived from the upscale factor.
 	DetailBoost float32
-	// LearnedHead, when non-nil, replaces the analytic detail head with a
-	// trained residual predictor (see TrainLearnedHead) — the §5 learning
-	// target realised with internal/nn.
-	LearnedHead *LearnedHead
 }
 
 func (c Config) withDefaults() Config {
@@ -166,17 +162,8 @@ func (s *SuperResolver) Upscale(lr *vmath.Plane) *vmath.Plane {
 		out.AddScaled(errUp, 1.0)
 	}
 
-	// Per-resolution detail head: a trained residual predictor when
-	// configured, otherwise the analytic sharpening head.
-	if cfg.LearnedHead != nil {
-		headed := cfg.LearnedHead.ApplyInto(vmath.Get(cfg.OutW, cfg.OutH), out)
-		vmath.Put(out)
-		out = headed
-		vmath.ResizeBilinearInto(down, out)
-		vmath.Sub(down, lr, down)
-		vmath.ResizeBilinearInto(errUp, down)
-		out.AddScaled(errUp, 1.0)
-	} else if b := s.detailBoost(lr.W); b > 0 {
+	// Per-resolution detail head: the analytic sharpening head.
+	if b := s.detailBoost(lr.W); b > 0 {
 		// In-place sharpen (UnsharpMaskInto materialises the blur first),
 		// then re-anchor once.
 		vmath.UnsharpMaskInto(out, out, 1.0, float64(b))

@@ -191,31 +191,3 @@ func BenchmarkUpscale4x(b *testing.B) {
 		s.Upscale(lr)
 	}
 }
-
-func TestLearnedHeadTrainsAndHelps(t *testing.T) {
-	head := TrainLearnedHead(4, 150, 1)
-	gt, lr := clipPair(video.Categories()[3], 4, 30, 4, lrW, lrH)
-	learned := New(Config{OutW: gtW, OutH: gtH, LearnedHead: head})
-	var pLearned, pBicubic float64
-	for i := range lr {
-		pLearned += metrics.PSNR(gt[i], learned.Upscale(lr[i])) / float64(len(lr))
-		pBicubic += metrics.PSNR(gt[i], UpscaleBicubic(lr[i], gtW, gtH)) / float64(len(lr))
-	}
-	t.Logf("learned head %.2f dB, bicubic %.2f dB", pLearned, pBicubic)
-	if pLearned <= pBicubic {
-		t.Fatalf("learned head (%.2f) did not beat bicubic (%.2f)", pLearned, pBicubic)
-	}
-}
-
-func TestLearnedHeadApplyGeometry(t *testing.T) {
-	head := TrainLearnedHead(2, 30, 2)
-	p := vmath.NewPlane(40, 24) // not a multiple of the patch size
-	p.Fill(128)
-	out := head.Apply(p)
-	if out.W != 40 || out.H != 24 {
-		t.Fatalf("geometry %dx%d", out.W, out.H)
-	}
-	if min, max := out.MinMax(); min < 0 || max > 255 {
-		t.Fatalf("range %v..%v", min, max)
-	}
-}

@@ -15,7 +15,9 @@ import (
 // tier.switches, tier.probes) — per-frame kernel-tier accounting from the
 // adaptive tier governor; sessions pinned to one tier count every frame
 // under that tier with zero switches and probes.
-const SnapshotSchema = 3
+// v4: removed the pipeline block; pipelined clients still record each
+// slot's critical-path time in the deadline block.
+const SnapshotSchema = 4
 
 // StageStats is one stage's aggregate in a Snapshot. All times are
 // milliseconds of wall clock.
@@ -58,7 +60,6 @@ type Snapshot struct {
 	Stages   []StageStats     `json:"stages"`
 	Counters map[string]int64 `json:"counters"`
 	Deadline DeadlineStats    `json:"deadline"`
-	Pipeline PipelineStats    `json:"pipeline"`
 }
 
 // ms converts a duration to float64 milliseconds.
@@ -106,7 +107,6 @@ func (r *Registry) Snapshot() Snapshot {
 		OverrunP95Ms: ms(r.dead.over.Quantile(0.95)),
 		OverrunMaxMs: ms(r.dead.over.Max()),
 	}
-	s.Pipeline = r.PipelineSnapshot()
 	return s
 }
 

@@ -30,13 +30,10 @@ func goldenRegistry() *Registry {
 	// must list them anyway, so the schema is stable across runs.
 	r.Counter("httpstream_retries").Add(2)
 	r.Counter("experiments_run").Add(1)
-	for _, d := range []time.Duration{10 * time.Millisecond, 18 * time.Millisecond, 25 * time.Millisecond} {
-		r.ObserveFrame(d) // the 25 ms frame overruns the 20 ms budget
+	for _, d := range []time.Duration{10 * time.Millisecond, 18 * time.Millisecond, 25 * time.Millisecond,
+		18 * time.Millisecond, 25 * time.Millisecond} {
+		r.ObserveFrame(d) // each 25 ms frame overruns the 20 ms budget
 	}
-	// Two pipelined frames: critical feeds the deadline tracker (the 25 ms
-	// one is a second overrun), busy feeds the pipeline block.
-	r.ObservePipelineFrame(30*time.Millisecond, 18*time.Millisecond)
-	r.ObservePipelineFrame(40*time.Millisecond, 25*time.Millisecond)
 	return r
 }
 
@@ -94,24 +91,13 @@ func TestSnapshotShape(t *testing.T) {
 		t.Errorf("deadline target = %v FPS / %v ms", d.TargetFPS, d.BudgetMs)
 	}
 	if d.Frames != 5 || d.Overruns != 2 {
-		t.Errorf("deadline frames=%d overruns=%d, want 5/2 (pipelined criticals feed the tracker)", d.Frames, d.Overruns)
+		t.Errorf("deadline frames=%d overruns=%d, want 5/2", d.Frames, d.Overruns)
 	}
 	if d.MaxMs < 24 || d.MaxMs > 26 {
 		t.Errorf("deadline MaxMs = %v, want ≈25", d.MaxMs)
 	}
 	if d.OverrunMaxMs < 4.5 || d.OverrunMaxMs > 5.5 {
 		t.Errorf("OverrunMaxMs = %v, want ≈5", d.OverrunMaxMs)
-	}
-	p := s.Pipeline
-	if p.Frames != 2 {
-		t.Errorf("pipeline frames = %d, want 2", p.Frames)
-	}
-	// Totals: 70 ms busy over 43 ms critical ≈ 1.63 overlap.
-	if p.OverlapRatio < 1.5 || p.OverlapRatio > 1.8 {
-		t.Errorf("OverlapRatio = %v, want ≈1.63", p.OverlapRatio)
-	}
-	if p.BusyP50Ms <= p.CriticalP50Ms {
-		t.Errorf("busy p50 %v must exceed critical p50 %v for overlapped frames", p.BusyP50Ms, p.CriticalP50Ms)
 	}
 }
 
@@ -126,7 +112,7 @@ func TestSnapshotIsValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
-	for _, key := range []string{"schema", "stages", "counters", "deadline", "pipeline"} {
+	for _, key := range []string{"schema", "stages", "counters", "deadline"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("snapshot missing top-level key %q", key)
 		}

@@ -92,7 +92,6 @@ type Registry struct {
 	enabled atomic.Bool
 	stages  [numStages]Histogram
 	dead    deadline
-	pipe    pipeline
 	sink    atomic.Pointer[eventSink]
 
 	mu       sync.RWMutex
@@ -124,7 +123,6 @@ func (r *Registry) Reset() {
 		r.stages[i].reset()
 	}
 	r.dead.reset()
-	r.pipe.reset()
 	r.mu.RLock()
 	for _, c := range r.counters {
 		c.n.Store(0)

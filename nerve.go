@@ -152,12 +152,11 @@ type (
 )
 
 // NewMPC returns the robustMPC baseline; NewRateBased and NewBufferBased
-// the classical ones; NewPensieve the PPO policy (train with TrainPensieve).
-func NewMPC() ABRAlgorithm                 { return abr.NewMPC() }
-func NewRateBased() ABRAlgorithm           { return abr.NewRateBased() }
-func NewBufferBased() ABRAlgorithm         { return abr.NewBufferBased() }
-func NewBOLA() ABRAlgorithm                { return abr.NewBOLA() }
-func NewPensieve(seed int64) *abr.Pensieve { return abr.NewPensieve(seed) }
+// the classical ones.
+func NewMPC() ABRAlgorithm         { return abr.NewMPC() }
+func NewRateBased() ABRAlgorithm   { return abr.NewRateBased() }
+func NewBufferBased() ABRAlgorithm { return abr.NewBufferBased() }
+func NewBOLA() ABRAlgorithm        { return abr.NewBOLA() }
 
 // NewBBA2 returns BBA-2 (Huang et al., SIGCOMM 2014); NewBBA2Loss and
 // NewBBA2RTT its cross-layer variants driven by the transport qlog stream
@@ -207,11 +206,6 @@ func NewSchemeSet() SchemeSet { return sim.NewSchemeSet() }
 
 // Simulate runs one streaming session of a scheme over a trace.
 func Simulate(cfg SimConfig, scheme Scheme) *SimResult { return sim.Run(cfg, scheme) }
-
-// TrainPensieve trains the PPO ABR in the chunk simulator.
-func TrainPensieve(traces []*Trace, episodes int, seed int64) *abr.Pensieve {
-	return sim.TrainPensieve(traces, episodes, seed)
-}
 
 // DefaultFECPlanner returns the calibrated loss→redundancy table.
 func DefaultFECPlanner() *FECPlanner { return fec.DefaultPlanner() }

@@ -95,7 +95,7 @@ func TestFacadeSimulation(t *testing.T) {
 }
 
 func TestFacadeABRConstructors(t *testing.T) {
-	for _, a := range []ABRAlgorithm{NewMPC(), NewRateBased(), NewBufferBased(), NewPensieve(1)} {
+	for _, a := range []ABRAlgorithm{NewMPC(), NewRateBased(), NewBufferBased()} {
 		a.Reset()
 		if a.Name() == "" {
 			t.Fatal("unnamed algorithm")
@@ -147,14 +147,5 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	}
 	if err := RunExperiment("bogus", ExperimentOptions{}, &buf); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-}
-
-func TestTrainPensieveSmoke(t *testing.T) {
-	tr := GenerateTrace(Net4G, 60, 2).Downscale(1.5e6, 0.3e6, 5e6)
-	agent := TrainPensieve([]*Trace{tr}, 3, 1)
-	res := Simulate(SimConfig{Trace: tr, Seed: 2}, Scheme{Name: "pensieve", ABR: agent})
-	if len(res.Series) == 0 {
-		t.Fatal("pensieve session empty")
 	}
 }
