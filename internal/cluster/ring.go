@@ -120,15 +120,6 @@ func (r *Ring) Live() []string {
 	return out
 }
 
-// Nodes returns the full membership, live or not.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
 func (r *Ring) suspectedLocked(node string) bool {
 	exp, ok := r.dead[node]
 	return ok && r.now().Before(exp)

@@ -157,9 +157,6 @@ func NewEncoder(cfg Config) *Encoder {
 	}
 }
 
-// Config returns the encoder configuration (defaults applied).
-func (e *Encoder) Config() Config { return e.cfg }
-
 // MBRows returns the number of macroblock rows per frame.
 func (e *Encoder) MBRows() int { return e.mbRows }
 
@@ -642,10 +639,6 @@ func (d *Decoder) SetReference(p *vmath.Plane) {
 	}
 	d.ref = p
 }
-
-// Reference returns the current prediction reference (may be nil before the
-// first decode).
-func (d *Decoder) Reference() *vmath.Plane { return d.ref }
 
 // Decode reconstructs a frame from the slices whose index is marked true in
 // received (nil means all received). Rows with no data are concealed by

@@ -165,7 +165,7 @@ type FrameResult struct {
 // upscaler is the SR stage contract both tiers satisfy (sr.SuperResolver
 // and sr.FastUpscaler).
 type upscaler interface {
-	Upscale(lr *vmath.Plane) *vmath.Plane
+	UpscaleInto(dst, lr *vmath.Plane) *vmath.Plane
 }
 
 // Client is the mobile client engine: decoder + recovery + SR with
@@ -296,7 +296,7 @@ func (c *Client) Next(in Input) (*FrameResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Frame = c.stageEnhance(outTx, res.Tier)
+	res.Frame = c.stageEnhance(c.displayPlane(), outTx, res.Tier)
 	c.observeGov(res, time.Since(start))
 	return res, nil
 }
@@ -436,27 +436,35 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	return res, outTx, nil
 }
 
+// displayPlane takes the pooled OutW×OutH plane stage B writes the
+// displayed frame into. Pipeline takes it on the caller goroutine before
+// the enhance task starts, so the pool sees this Get before the caller
+// Puts the frame Push returns, on every schedule.
+func (c *Client) displayPlane() *vmath.Plane {
+	return vmath.Get(c.cfg.OutW, c.cfg.OutH)
+}
+
 // stageEnhance is stage B of the frame graph: lift the transmission-
-// resolution frame to display resolution (SR head or plain bilinear; a
-// pooled copy when the resolutions are equal and SR is off). It
+// resolution frame to display resolution into dst (SR head or plain
+// bilinear; a copy when the resolutions are equal and SR is off). It
 // reads only outTx, the frame's tier and immutable client state (the SR
 // heads never change after NewClient), touches no client temporal state,
 // and is deterministic for any worker-pool size — the properties Pipeline
 // relies on to overlap it with the next ingest even while the governor is
 // deciding a different tier for that ingest.
-func (c *Client) stageEnhance(outTx *vmath.Plane, tier Tier) *vmath.Plane {
+func (c *Client) stageEnhance(dst, outTx *vmath.Plane, tier Tier) *vmath.Plane {
 	if c.hasSR {
 		if tier == TierFixed {
-			return c.srFixed.Upscale(outTx)
+			return c.srFixed.UpscaleInto(dst, outTx)
 		}
-		return c.srFloat.Upscale(outTx)
+		return c.srFloat.UpscaleInto(dst, outTx)
 	}
 	if c.cfg.OutW != c.cfg.W || c.cfg.OutH != c.cfg.H {
-		return vmath.ResizeBilinearInto(vmath.Get(c.cfg.OutW, c.cfg.OutH), outTx)
+		return vmath.ResizeBilinearInto(dst, outTx)
 	}
 	// outTx stays the decoder's reference and prevOut: the caller gets a
 	// copy it owns, as FrameResult.Frame promises.
-	return vmath.Get(outTx.W, outTx.H).CopyFrom(outTx)
+	return dst.CopyFrom(outTx)
 }
 
 // conceal produces a frame when input is missing or partial.

@@ -85,9 +85,10 @@ func (p *Pipeline) Push(in Input) (*FrameResult, error) {
 	}
 	p.pending = res
 	p.ingest = ingest
+	dst := p.c.displayPlane()
 	p.join = par.Go(func() {
 		t0 := time.Now()
-		res.Frame = p.c.stageEnhance(outTx, res.Tier)
+		res.Frame = p.c.stageEnhance(dst, outTx, res.Tier)
 		p.enhance = time.Since(t0)
 	})
 	return done, nil

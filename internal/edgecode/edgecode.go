@@ -280,19 +280,6 @@ func (e *Extractor) percentile(pix []float32, p float64) float32 {
 	return float32(tmp[idx])
 }
 
-// Hamming returns the number of differing bits between two codes of equal
-// geometry.
-func Hamming(a, b *Code) (int, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("edgecode: geometry mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	n := 0
-	for i := range a.Bits {
-		n += popcount(a.Bits[i] ^ b.Bits[i])
-	}
-	return n, nil
-}
-
 // EdgeGuide upsamples the code to w×h and blurs it into a soft [0,1] edge
 // map used by the recovery model's inpainting branch (diffusion is damped
 // across edges). The result is pool-backed and caller-owned, like Plane.

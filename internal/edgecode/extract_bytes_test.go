@@ -28,10 +28,7 @@ func TestExtractBytesMatchesFloatAtCodeRes(t *testing.T) {
 			bp.ToPlane(qf)
 			cf := ef.Extract(qf)
 			cb := eb.ExtractBytes(bp)
-			h, err := Hamming(cf, cb)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := hamming(t, cf, cb)
 			if h != 0 {
 				t.Fatalf("%s frame %d: byte code differs from float code in %d bits", cat.Name, f, h)
 			}
@@ -55,10 +52,7 @@ func TestExtractBytesDriftBoundRandomPlanes(t *testing.T) {
 			qf := bp.ToPlane(vmath.NewPlane(dims[0], dims[1]))
 			cf := NewExtractor(0, 0).Extract(qf)
 			cb := NewExtractor(0, 0).ExtractBytes(bp)
-			h, err := Hamming(cf, cb)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := hamming(t, cf, cb)
 			if h > bound {
 				t.Fatalf("%dx%d trial %d: drift %d bits exceeds %d", dims[0], dims[1], trial, h, bound)
 			}
@@ -100,10 +94,7 @@ func TestExtractBytesReset(t *testing.T) {
 	e.ExtractBytes(bp2) // pollute the history with a distant frame
 	e.Reset()
 	again := e.ExtractBytes(bp)
-	h, err := Hamming(first, again)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := hamming(t, first, again)
 	if h != 0 {
 		t.Fatalf("code after Reset differs from fresh extraction by %d bits", h)
 	}

@@ -8,6 +8,7 @@ import (
 	"nerve/internal/device"
 	"nerve/internal/edgecode"
 	"nerve/internal/metrics"
+	"nerve/internal/par"
 	"nerve/internal/qoe"
 	"nerve/internal/recovery"
 	"nerve/internal/sim"
@@ -182,7 +183,7 @@ func figChains(opts Options, id, title string, partFrac float64) (*Series, *Seri
 	// is independent of worker scheduling.
 	pCell := make([]float64, len(cells))
 	sCell := make([]float64, len(cells))
-	mustParallelFor(len(cells), func(i int) {
+	par.For(len(cells), func(i int) {
 		c := cells[i]
 		pCell[i], sCell[i], _ = runChain(clips[c.ci], modes[c.mi], 40+10*c.ci, horizons[c.hi], w, h, partFrac)
 	})

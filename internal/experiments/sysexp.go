@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"nerve/internal/abr"
-
+	"nerve/internal/par"
 	"nerve/internal/sim"
 	"nerve/internal/trace"
 )
@@ -40,7 +40,7 @@ func runSchemes(opts Options, schemes []sim.Scheme, id, title string) (*Table, m
 	// within a scheme instead.
 	for si, sc := range schemes {
 		sc := sc
-		mustParallelFor(len(nets), func(ni int) {
+		par.For(len(nets), func(ni int) {
 			nt := nets[ni]
 			traces := tracesFor(opts, nt)
 			var q float64

@@ -2,7 +2,6 @@ package faultnet
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -35,12 +34,6 @@ func (p Profile) Config(seed int64) Config {
 	c := p.cfg
 	c.Seed = seed
 	return c
-}
-
-// Transport builds the profile's fault-injecting RoundTripper over base
-// with the given per-client seed.
-func (p Profile) Transport(base http.RoundTripper, seed int64) *Transport {
-	return New(base, p.Config(seed))
 }
 
 // The profile matrix. Rates are chosen so that "lossy" exercises the

@@ -40,7 +40,7 @@ func TestProfileClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resets, errors, truncs, lats := drawFaults(t, p.Transport(nil, 7), 500)
+	resets, errors, truncs, lats := drawFaults(t, New(nil, p.Config(7)), 500)
 	if resets+errors+truncs != 0 {
 		t.Fatalf("clean profile injected %d/%d/%d faults", resets, errors, truncs)
 	}
@@ -60,7 +60,7 @@ func TestProfileLossyRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4000
-	resets, errors, truncs, lats := drawFaults(t, p.Transport(nil, 42), n)
+	resets, errors, truncs, lats := drawFaults(t, New(nil, p.Config(42)), n)
 	check := func(name string, got int, want float64) {
 		t.Helper()
 		rate := float64(got) / n
@@ -85,7 +85,7 @@ func TestProfileHilatLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resets, errors, truncs, lats := drawFaults(t, p.Transport(nil, 3), 1000)
+	resets, errors, truncs, lats := drawFaults(t, New(nil, p.Config(3)), 1000)
 	if resets+errors+truncs != 0 {
 		t.Fatalf("hilat injected %d/%d/%d faults", resets, errors, truncs)
 	}
@@ -120,7 +120,7 @@ func TestProfileBurstyWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := p.Transport(nil, 11)
+	tr := New(nil, p.Config(11))
 	req := decideReq(t)
 	cycle, on := p.cfg.BurstCycle, p.cfg.BurstOn
 	const cycles = 40
@@ -155,7 +155,7 @@ func TestProfileDeterministic(t *testing.T) {
 	}
 	req := decideReq(t)
 	draw := func(seed int64) []fault {
-		tr := p.Transport(nil, seed)
+		tr := New(nil, p.Config(seed))
 		out := make([]fault, 600)
 		for i := range out {
 			out[i] = tr.decide(req)

@@ -79,12 +79,6 @@ func (p *Planner) Redundancy(predictedLoss float64) float64 {
 	return p.best[i-1] + f*(p.best[i]-p.best[i-1])
 }
 
-// Table returns the planner's (loss, redundancy) pairs in ascending loss
-// order, for inspection and persistence.
-func (p *Planner) Table() (losses, redundancies []float64) {
-	return append([]float64(nil), p.losses...), append([]float64(nil), p.best...)
-}
-
 // DefaultPlanner returns the calibrated default table: redundancy ≈ 5× the
 // loss rate (the paper's Fig. 1/2 finding that FEC must be about five times
 // the packet loss rate to recover frames), capped at 60%.

@@ -11,8 +11,6 @@ import (
 // shards out, any subset with all data (or enough shards to rebuild it)
 // reconstructs.
 type Scheme interface {
-	K() int
-	M() int
 	Encode(data [][]byte) ([][]byte, error)
 	Reconstruct(shards [][]byte) error
 }

@@ -54,10 +54,6 @@ func NewReedSolomon(k, m int) (*ReedSolomon, error) {
 	return &ReedSolomon{k: k, m: m, parity: parity}, nil
 }
 
-// K returns the number of data shards; M the number of parity shards.
-func (rs *ReedSolomon) K() int { return rs.k }
-func (rs *ReedSolomon) M() int { return rs.m }
-
 // Encode appends m parity shards to the k data shards. All data shards must
 // share one length. The returned slice has length k+m; the first k entries
 // alias the input data shards.

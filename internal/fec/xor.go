@@ -19,10 +19,6 @@ func NewXORInterleaved(k, groups int) (*XORInterleaved, error) {
 	return &XORInterleaved{k: k, groups: groups}, nil
 }
 
-// K returns the number of data shards; M the number of parity shards.
-func (x *XORInterleaved) K() int { return x.k }
-func (x *XORInterleaved) M() int { return x.groups }
-
 // Encode appends one XOR parity shard per group. Shard i belongs to group
 // i mod groups.
 func (x *XORInterleaved) Encode(data [][]byte) ([][]byte, error) {

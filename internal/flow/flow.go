@@ -91,16 +91,6 @@ func (f *Field) Resample(w, h int) *Field {
 	return out
 }
 
-// Scale multiplies every vector in place (confidence untouched) and
-// returns the field.
-func (f *Field) Scale(s float32) *Field {
-	for i := range f.U {
-		f.U[i] *= s
-		f.V[i] *= s
-	}
-	return f
-}
-
 // SnapIntegers rounds vector components that lie within thresh of an
 // integer. Integer flow makes backward warping an exact pixel copy, which
 // prevents the progressive blur that repeated bilinear resampling inflicts
@@ -118,15 +108,6 @@ func (f *Field) SnapIntegers(thresh float32) *Field {
 		f.V[i] = snap(f.V[i])
 	}
 	return f
-}
-
-// Clone deep-copies the field.
-func (f *Field) Clone() *Field {
-	g := NewField(f.W, f.H)
-	copy(g.U, f.U)
-	copy(g.V, f.V)
-	copy(g.Conf, f.Conf)
-	return g
 }
 
 // Options configures Estimate.
@@ -321,11 +302,4 @@ func blockSAD(prev, cur *vmath.Plane, x0, y0, u, v, block int, limit float64) fl
 		}
 	}
 	return sad
-}
-
-// Extrapolate returns a copy of f with vectors scaled by steps — the
-// constant-velocity motion extrapolation the no-hint recovery ablation uses
-// to predict frame t+k from flow between t-1 and t.
-func Extrapolate(f *Field, steps float64) *Field {
-	return f.Clone().Scale(float32(steps))
 }

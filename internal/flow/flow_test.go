@@ -129,22 +129,6 @@ func TestResampleScalesVectors(t *testing.T) {
 	}
 }
 
-func TestScaleAndExtrapolate(t *testing.T) {
-	f := NewField(2, 2)
-	f.U[0] = 3
-	g := Extrapolate(f, 2)
-	if g.U[0] != 6 {
-		t.Fatalf("extrapolate: %v", g.U[0])
-	}
-	if f.U[0] != 3 {
-		t.Fatal("Extrapolate mutated input")
-	}
-	f.Scale(0.5)
-	if f.U[0] != 1.5 {
-		t.Fatalf("scale: %v", f.U[0])
-	}
-}
-
 func TestEstimatePanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -158,18 +158,6 @@ func (c *Cache) peek(key string) ([]byte, bool) {
 	return e.val, true
 }
 
-// keys returns the resident keys from most to least recently used
-// (tests only).
-func (c *Cache) keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.key)
-	}
-	return out
-}
-
 // ---- intrusive list plumbing (c.mu held) ----
 
 func (c *Cache) evict(e *cacheEntry) {

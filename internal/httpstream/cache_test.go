@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -18,9 +17,6 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	c.Put("a", pad(100))
 	c.Put("b", pad(100))
 	c.Put("c", pad(100))
-	if got := c.keys(); !reflect.DeepEqual(got, []string{"c", "b", "a"}) {
-		t.Fatalf("recency order %v", got)
-	}
 	// Touch a: it becomes most recent, so the next eviction takes b.
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing")

@@ -622,7 +622,7 @@ func NewClient(baseURL string, httpClient *http.Client, enableRecovery bool, opt
 // plus segment, retry/backoff, degradation accounting) but cannot decode.
 // Load harnesses use it to keep thousands of concurrent clients
 // goroutine-cheap: no per-client planes, pools or models, just sockets.
-// PlayChunk and PlayAll on a fetch-only client return an error.
+// PlayChunk on a fetch-only client returns an error.
 func NewFetchClient(baseURL string, httpClient *http.Client, opts ...ClientOption) (*Client, error) {
 	c := NewRawClient(baseURL, httpClient, opts...)
 	raw, err := c.fetch("/manifest")
@@ -888,44 +888,6 @@ func (c *Client) fetchSegment(n, rate, wantFrames int, res *ChunkResult) ([][]by
 		return degrade(fmt.Sprintf("httpstream: %d frames vs %d codes", len(frameRecs), wantFrames))
 	}
 	return frameRecs, nil
-}
-
-// minFetchSeconds floors the ABR measurement interval: on localhost (or a
-// coarse clock) a segment can download in "zero" time, which previously
-// dropped the throughput sample entirely; flooring keeps the signal finite
-// and never discards it.
-const minFetchSeconds = 1e-3
-
-// PlayAll streams the whole manifest adaptively: a throughput-based rate
-// pick from measured segment download times (wall clock), falling back to
-// the lowest rung until a measurement exists. Degraded chunks (media path
-// down) contribute no throughput sample and leave the rate unchanged. It
-// returns the per-chunk results in order.
-func (c *Client) PlayAll() ([]*ChunkResult, error) {
-	var out []*ChunkResult
-	rate := 0
-	for n := 0; n < c.manifest.Chunks; n++ {
-		res, err := c.PlayChunk(n, rate, false)
-		if err != nil {
-			return out, err
-		}
-		if res.Bytes > 0 {
-			dt := res.FetchSeconds
-			if dt < minFetchSeconds {
-				dt = minFetchSeconds
-			}
-			bps := float64(res.Bytes) * 8 / dt
-			// Highest rung affordable at 80% of the measured rate.
-			rate = 0
-			for i, kbps := range c.manifest.RatesKbps {
-				if float64(kbps)*1000 <= 0.8*bps {
-					rate = i
-				}
-			}
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }
 
 // timeNow is a wall-clock seconds hook (overridable in tests).

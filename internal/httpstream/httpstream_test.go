@@ -1,7 +1,6 @@
 package httpstream
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -230,37 +229,5 @@ func TestEncodedFrameWireErrors(t *testing.T) {
 	}
 	if err := f.UnmarshalBinary(append(wire, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
-	}
-}
-
-func TestPlayAllAdapts(t *testing.T) {
-	srv, ts := testServer(t)
-	// Warm the cache so fetch times measure transfer, not the one-off
-	// lazy encode (which dwarfs it under -race).
-	for rate := range srv.Manifest().RatesKbps {
-		for n := 0; n < srv.Manifest().Chunks; n++ {
-			if _, err := srv.segment(context.Background(), rate, n); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	cli, err := NewClient(ts.URL, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Local httptest transfers are effectively infinite-rate, so the
-	// adaptive loop should climb off the lowest rung after chunk 0.
-	results, err := cli.PlayAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("played %d chunks", len(results))
-	}
-	if results[0].Rate != 0 {
-		t.Fatalf("first chunk rate %d, want conservative 0", results[0].Rate)
-	}
-	if results[len(results)-1].Rate == 0 {
-		t.Fatal("adaptive loop never climbed off the lowest rung")
 	}
 }

@@ -16,7 +16,7 @@ func TestServeHTTPCountsClientCancels(t *testing.T) {
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _ = srv.flight.Do(segKey(0, 0), func() ([]byte, error) {
+		_, _ = srv.flight.DoCtx(context.Background(), segKey(0, 0), func() ([]byte, error) {
 			close(enter)
 			<-release
 			return []byte{0, 0, 0, 0}, nil

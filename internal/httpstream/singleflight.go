@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// flightGroup is a minimal singleflight: concurrent Do calls with the same
-// key share one execution of fn and all receive its result. Distinct keys
-// run fully in parallel. (The x/sync/singleflight shape, reimplemented
-// because the module is dependency-free.)
+// flightGroup is a minimal singleflight: concurrent DoCtx calls with the
+// same key share one execution of fn and all receive its result. Distinct
+// keys run fully in parallel. (The x/sync/singleflight shape,
+// reimplemented because the module is dependency-free.)
 //
 // Two hard-won properties of the serving path live here:
 //
@@ -37,16 +37,10 @@ type flightCall struct {
 	err  error
 }
 
-// Do runs fn once per concurrent set of callers with the same key,
-// waiting without a deadline.
-func (g *flightGroup) Do(key string, fn func() ([]byte, error)) ([]byte, error) {
-	return g.DoCtx(context.Background(), key, fn)
-}
-
-// DoCtx is Do with a cancellable wait. The computation itself is never
-// cancelled — the winner finishes and its result is delivered to every
-// still-waiting caller — but a waiter returns ctx.Err() as soon as its
-// context ends.
+// DoCtx runs fn once per concurrent set of callers with the same key. The
+// computation itself is never cancelled — the winner finishes and its
+// result is delivered to every still-waiting caller — but a waiter
+// returns ctx.Err() as soon as its context ends.
 func (g *flightGroup) DoCtx(ctx context.Context, key string, fn func() ([]byte, error)) (val []byte, err error) {
 	g.mu.Lock()
 	if g.m == nil {

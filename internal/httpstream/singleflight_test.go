@@ -16,7 +16,7 @@ import (
 // Now the panic becomes an error and the key is released.
 func TestFlightPanicDoesNotWedgeKey(t *testing.T) {
 	var g flightGroup
-	_, err := g.Do("k", func() ([]byte, error) { panic("boom") })
+	_, err := g.DoCtx(context.Background(), "k", func() ([]byte, error) { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic not surfaced as error: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestFlightPanicDoesNotWedgeKey(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b, err := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
+		b, err := g.DoCtx(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
 		if err != nil || string(b) != "ok" {
 			t.Errorf("post-panic Do: %q, %v", b, err)
 		}
@@ -43,7 +43,7 @@ func TestFlightPanicReachesWaiters(t *testing.T) {
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		g.Do("k", func() ([]byte, error) { //nolint:errcheck // error checked via waiters
+		g.DoCtx(context.Background(), "k", func() ([]byte, error) { //nolint:errcheck // error checked via waiters
 			close(enter)
 			<-release
 			panic("late boom")
@@ -57,7 +57,7 @@ func TestFlightPanicReachesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := g.Do("k", func() ([]byte, error) { return nil, nil })
+			_, err := g.DoCtx(context.Background(), "k", func() ([]byte, error) { return nil, nil })
 			errs <- err
 		}()
 	}
@@ -88,7 +88,7 @@ func TestFlightWaiterCancellation(t *testing.T) {
 	release := make(chan struct{})
 	winner := make(chan error, 1)
 	go func() {
-		b, err := g.Do("k", func() ([]byte, error) {
+		b, err := g.DoCtx(context.Background(), "k", func() ([]byte, error) {
 			close(enter)
 			<-release
 			return []byte("slow"), nil
@@ -137,7 +137,7 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i == 0 {
-				b, _ := g.Do("k", func() ([]byte, error) {
+				b, _ := g.DoCtx(context.Background(), "k", func() ([]byte, error) {
 					mu.Lock()
 					calls++
 					mu.Unlock()
@@ -149,7 +149,7 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 				return
 			}
 			<-enter
-			b, _ := g.Do("k", func() ([]byte, error) {
+			b, _ := g.DoCtx(context.Background(), "k", func() ([]byte, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()

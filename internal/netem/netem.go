@@ -91,9 +91,6 @@ func (c *Clock) RunUntilIdle() {
 	}
 }
 
-// Pending returns the number of queued events.
-func (c *Clock) Pending() int { return len(c.pq) }
-
 // LossModel decides per-packet drops.
 type LossModel interface {
 	// Drop reports whether a packet sent at time t is lost, given the
@@ -143,19 +140,6 @@ func (g *GilbertElliott) Drop(_ float64, target float64) bool {
 	}
 	// Small residual random loss in the Good state.
 	return g.rng.Float64() < target*0.05
-}
-
-// Bernoulli is an independent (non-bursty) loss model, used by ablations.
-type Bernoulli struct{ rng *rand.Rand }
-
-// NewBernoulli returns an independent loss model.
-func NewBernoulli(seed int64) *Bernoulli {
-	return &Bernoulli{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Drop implements LossModel.
-func (b *Bernoulli) Drop(_ float64, target float64) bool {
-	return b.rng.Float64() < target
 }
 
 // Link is a unidirectional trace-driven link: packets are serialised at the

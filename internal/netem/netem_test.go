@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"nerve/internal/trace"
@@ -14,6 +15,13 @@ func flatTrace(bps, loss, rtt float64, secs int) *trace.Trace {
 	}
 	return tr
 }
+
+// coinLoss drops each packet independently with the target probability.
+type coinLoss struct{ rng *rand.Rand }
+
+func (c coinLoss) Drop(_, target float64) bool { return c.rng.Float64() < target }
+
+func newCoinLoss(seed int64) coinLoss { return coinLoss{rand.New(rand.NewSource(seed))} }
 
 func TestClockOrdering(t *testing.T) {
 	var c Clock
@@ -152,7 +160,8 @@ func TestGilbertElliottMatchesTarget(t *testing.T) {
 }
 
 func TestGilbertElliottBursty(t *testing.T) {
-	// Measure mean run length of drops; must exceed Bernoulli's ≈1.
+	// Measure mean run length of drops; must exceed the ≈1 of independent
+	// losses.
 	g := NewGilbertElliott(2)
 	const n = 300000
 	runs, runLen, cur := 0, 0, 0
@@ -183,25 +192,10 @@ func TestGilbertElliottZeroTarget(t *testing.T) {
 	}
 }
 
-func TestBernoulliRate(t *testing.T) {
-	b := NewBernoulli(4)
-	drops := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if b.Drop(0, 0.1) {
-			drops++
-		}
-	}
-	got := float64(drops) / n
-	if math.Abs(got-0.1) > 0.01 {
-		t.Fatalf("Bernoulli rate %v", got)
-	}
-}
-
 func TestLinkLossApplied(t *testing.T) {
 	var c Clock
 	tr := flatTrace(1e7, 0.5, 0.01, 100)
-	l := NewLink(&c, tr, NewBernoulli(5))
+	l := NewLink(&c, tr, newCoinLoss(5))
 	delivered := 0
 	for i := 0; i < 2000; i++ {
 		l.Send(100, func() { delivered++ })
@@ -219,7 +213,7 @@ func TestLinkLossApplied(t *testing.T) {
 func TestLinkDisableLoss(t *testing.T) {
 	var c Clock
 	tr := flatTrace(1e7, 0.5, 0.01, 100)
-	l := NewLink(&c, tr, NewBernoulli(6))
+	l := NewLink(&c, tr, newCoinLoss(6))
 	l.DisableLoss = true
 	delivered := 0
 	for i := 0; i < 500; i++ {

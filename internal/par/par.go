@@ -179,28 +179,6 @@ func run(tasks int, fn func(i int)) {
 // concurrently and must only write state owned by index i.
 func For(n int, fn func(i int)) { run(n, fn) }
 
-// ForErr runs fn(i) for every i in [0, n) on the pool and returns the error
-// from the lowest-indexed failing call (nil when every call succeeds).
-// All n calls run even when some fail — workers do not short-circuit — so
-// the returned error is deterministic for a deterministic fn.
-func ForErr(n int, fn func(i int) error) error {
-	var (
-		mu     sync.Mutex
-		firstI int
-		firstE error
-	)
-	run(n, func(i int) {
-		if err := fn(i); err != nil {
-			mu.Lock()
-			if firstE == nil || i < firstI {
-				firstI, firstE = i, err
-			}
-			mu.Unlock()
-		}
-	})
-	return firstE
-}
-
 // forRowsGrain is the number of rows per task in ForRows. It depends only
 // on the constant, never on the worker count, so the band decomposition —
 // and therefore the output of any per-band-pure computation — is identical
@@ -224,34 +202,5 @@ func ForRows(h int, fn func(y0, y1 int)) {
 			y1 = h
 		}
 		fn(y0, y1)
-	})
-}
-
-// ForTiles covers the w×h rectangle with tile×tile tiles (clipped at the
-// right and bottom edges) and runs fn(x0, y0, x1, y1) for each tile on the
-// pool, in row-major task order. Tile boundaries depend only on (w, h,
-// tile), so output is pool-size independent for any fn that is a pure
-// function of its tile.
-func ForTiles(w, h, tile int, fn func(x0, y0, x1, y1 int)) {
-	if w <= 0 || h <= 0 {
-		return
-	}
-	if tile <= 0 {
-		panic("par: ForTiles tile must be positive")
-	}
-	tx := (w + tile - 1) / tile
-	ty := (h + tile - 1) / tile
-	run(tx*ty, func(i int) {
-		x0 := (i % tx) * tile
-		y0 := (i / tx) * tile
-		x1 := x0 + tile
-		if x1 > w {
-			x1 = w
-		}
-		y1 := y0 + tile
-		if y1 > h {
-			y1 = h
-		}
-		fn(x0, y0, x1, y1)
 	})
 }

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -76,50 +75,6 @@ func TestForRowsCoverage(t *testing.T) {
 			}
 			restore()
 		}
-	}
-}
-
-func TestForTilesCoverage(t *testing.T) {
-	const w, h, tile = 37, 23, 8
-	for _, workers := range []int{1, 4} {
-		restore := SetWorkers(workers)
-		covered := make([]int32, w*h)
-		ForTiles(w, h, tile, func(x0, y0, x1, y1 int) {
-			if x0 >= x1 || y0 >= y1 || x1 > w || y1 > h {
-				t.Errorf("bad tile [%d,%d)x[%d,%d)", x0, x1, y0, y1)
-			}
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					atomic.AddInt32(&covered[y*w+x], 1)
-				}
-			}
-		})
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("workers=%d: pixel %d covered %d times", workers, i, c)
-			}
-		}
-		restore()
-	}
-}
-
-func TestForErrFirstError(t *testing.T) {
-	defer SetWorkers(8)()
-	wantErr := errors.New("boom 7")
-	err := ForErr(100, func(i int) error {
-		if i == 7 {
-			return wantErr
-		}
-		if i == 50 {
-			return errors.New("boom 50")
-		}
-		return nil
-	})
-	if err != wantErr {
-		t.Fatalf("ForErr returned %v, want lowest-index error %v", err, wantErr)
-	}
-	if err := ForErr(100, func(int) error { return nil }); err != nil {
-		t.Fatalf("ForErr returned %v for infallible fn", err)
 	}
 }
 

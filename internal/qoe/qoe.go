@@ -91,20 +91,6 @@ func (s *Session) TotalRebuffer() float64 {
 	return t
 }
 
-// RecoveredFrameFraction returns the fraction of frames that went through
-// recovery across the session.
-func (s *Session) RecoveredFrameFraction() float64 {
-	var rec, tot int
-	for _, c := range s.Chunks {
-		rec += c.FramesRecovered
-		tot += c.FramesTotal
-	}
-	if tot == 0 {
-		return 0
-	}
-	return float64(rec) / float64(tot)
-}
-
 // RateQuality is one (bitrate, PSNR) calibration point.
 type RateQuality struct {
 	Mbps float64

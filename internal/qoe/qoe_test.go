@@ -60,19 +60,6 @@ func TestSmoothnessHurtsQoE(t *testing.T) {
 	}
 }
 
-func TestRecoveredFrameFraction(t *testing.T) {
-	s := NewSession(DefaultParams())
-	s.Add(Chunk{FramesTotal: 100, FramesRecovered: 10})
-	s.Add(Chunk{FramesTotal: 100, FramesRecovered: 30})
-	if got := s.RecoveredFrameFraction(); math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("fraction=%v", got)
-	}
-	empty := NewSession(DefaultParams())
-	if empty.RecoveredFrameFraction() != 0 {
-		t.Fatal("empty fraction")
-	}
-}
-
 func qualityMap() *QualityMap {
 	return NewQualityMap([]RateQuality{
 		{Mbps: 0.512, PSNR: 30},

@@ -523,28 +523,17 @@ func (r *Recoverer) overridePartial(pred, part, mask *vmath.Plane) *vmath.Plane 
 // The result is a fresh pool-backed plane; img is left untouched (it is
 // the diffusion anchor). The hole index list is scratch on the Recoverer.
 func (r *Recoverer) inpaint(img, valid, guide *vmath.Plane, iters int) *vmath.Plane {
-	out, holes := inpaintScratch(img, valid, guide, iters, r.holes)
-	r.holes = holes
-	return out
-}
-
-// inpaint is the scratch-free convenience form.
-func inpaint(img, valid, guide *vmath.Plane, iters int) *vmath.Plane {
-	out, _ := inpaintScratch(img, valid, guide, iters, nil)
-	return out
-}
-
-func inpaintScratch(img, valid, guide *vmath.Plane, iters int, scratch []int) (*vmath.Plane, []int) {
 	w, h := img.W, img.H
 	out := vmath.Get(w, h).CopyFrom(img)
-	holes := scratch[:0]
+	holes := r.holes[:0]
 	for i := range out.Pix {
 		if valid.Pix[i] < 0.5 {
 			holes = append(holes, i)
 		}
 	}
+	r.holes = holes
 	if len(holes) == 0 {
-		return out, holes
+		return out
 	}
 
 	const selfWeight = 0.8
@@ -590,5 +579,5 @@ func inpaintScratch(img, valid, guide *vmath.Plane, iters int, scratch []int) (*
 		}
 	}
 	vmath.Put(next)
-	return out, holes
+	return out
 }

@@ -220,8 +220,9 @@ func TestInpaintRespectsGuide(t *testing.T) {
 		guide.Set(19, y, 0.8)
 		guide.Set(21, y, 0.8)
 	}
-	guided := inpaint(img, valid, guide, 60)
-	unguided := inpaint(img, valid, nil, 60)
+	r := New(Config{OutW: w, OutH: h})
+	guided := r.inpaint(img, valid, guide, 60)
+	unguided := r.inpaint(img, valid, nil, 60)
 	// Just right of the edge, the guided fill should be darker (closer
 	// to the dark side) than the unguided fill.
 	gv := guided.At(23, 10)
@@ -240,7 +241,7 @@ func TestInpaintNoHolesIsIdentity(t *testing.T) {
 	img.Fill(57)
 	valid := vmath.NewPlane(8, 8)
 	valid.Fill(1)
-	out := inpaint(img, valid, nil, 10)
+	out := New(Config{OutW: 8, OutH: 8}).inpaint(img, valid, nil, 10)
 	if d := vmath.MAE(img, out); d != 0 {
 		t.Fatalf("identity inpaint changed pixels: %v", d)
 	}

@@ -34,9 +34,6 @@ func NewFast(cfg Config) *FastUpscaler {
 	return &FastUpscaler{cfg: cfg}
 }
 
-// Config returns the effective configuration.
-func (s *FastUpscaler) Config() Config { return s.cfg }
-
 // Reset drops scratch state (there is no temporal state to clear).
 func (s *FastUpscaler) Reset() {
 	vmath.PutBytes(s.sharp)
@@ -95,25 +92,30 @@ func (s *FastUpscaler) UpscaleBytesInto(dst, lr *vmath.BytePlane) *vmath.BytePla
 	return dst
 }
 
-// Upscale is the float-plane form of the head. The returned plane is
-// pool-backed and owned by the caller, like SuperResolver's. At exactly 2×
-// the fused kernel reads and writes the float planes itself
+// UpscaleInto is the float-plane form of the head, writing into dst
+// (OutW×OutH, not aliasing lr; it may come dirty from the pool). At
+// exactly 2× the fused kernel reads and writes the float planes itself
 // (vmath.SharpenUpscale2xInto), quantising each LR row and widening each
 // output row pair inside its banded pass, on the same owned row cache as
-// UpscaleBytesInto: no byte plane and no whole-frame conversion, and no
-// pool traffic but the returned plane. Other ratios shadow lr into a
-// pooled byte plane, run UpscaleBytesInto and convert back.
-func (s *FastUpscaler) Upscale(lr *vmath.Plane) *vmath.Plane {
-	out := vmath.Get(s.cfg.OutW, s.cfg.OutH)
-	if out.W == 2*lr.W && out.H == 2*lr.H {
+// UpscaleBytesInto: no byte plane, no whole-frame conversion and no pool
+// traffic. Other ratios shadow lr into a pooled byte plane, run
+// UpscaleBytesInto and convert back.
+func (s *FastUpscaler) UpscaleInto(dst, lr *vmath.Plane) *vmath.Plane {
+	if dst.W == 2*lr.W && dst.H == 2*lr.H {
 		defer telemetry.Start(telemetry.StageSR).Stop()
-		s.scratch = vmath.SharpenUpscale2xInto(out, lr, s.boost256(lr.W), s.scratch)
-		return out
+		s.scratch = vmath.SharpenUpscale2xInto(dst, lr, s.boost256(lr.W), s.scratch)
+		return dst
 	}
 	lrB := vmath.GetBytes(lr.W, lr.H).FromPlane(lr)
 	outB := vmath.GetBytes(s.cfg.OutW, s.cfg.OutH)
-	s.UpscaleBytesInto(outB, lrB).ToPlane(out)
+	s.UpscaleBytesInto(outB, lrB).ToPlane(dst)
 	vmath.PutBytes(lrB)
 	vmath.PutBytes(outB)
-	return out
+	return dst
+}
+
+// Upscale is UpscaleInto on a pooled plane the caller owns, like
+// SuperResolver's.
+func (s *FastUpscaler) Upscale(lr *vmath.Plane) *vmath.Plane {
+	return s.UpscaleInto(vmath.Get(s.cfg.OutW, s.cfg.OutH), lr)
 }

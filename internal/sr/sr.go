@@ -80,9 +80,6 @@ func New(cfg Config) *SuperResolver {
 	return &SuperResolver{cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective configuration.
-func (s *SuperResolver) Config() Config { return s.cfg }
-
 // Reset drops temporal state (stream restart, scene cut, rung switch where
 // continuity is broken deliberately).
 func (s *SuperResolver) Reset() {
@@ -109,14 +106,19 @@ func (s *SuperResolver) detailBoost(lrW int) float32 {
 	return b
 }
 
-// Upscale enhances one LR frame. Consecutive calls on consecutive frames
-// exploit temporal fusion; a resolution change in the input stream is
-// handled by resampling the temporal state (the rung switch the
-// enhancement-aware ABR performs).
+// Upscale enhances one LR frame into a pooled plane the caller owns.
 func (s *SuperResolver) Upscale(lr *vmath.Plane) *vmath.Plane {
+	return s.UpscaleInto(vmath.Get(s.cfg.OutW, s.cfg.OutH), lr)
+}
+
+// UpscaleInto enhances one LR frame into dst (OutW×OutH, not aliasing lr).
+// Consecutive calls on consecutive frames exploit temporal fusion; a
+// resolution change in the input stream is handled by resampling the
+// temporal state (the rung switch the enhancement-aware ABR performs).
+func (s *SuperResolver) UpscaleInto(dst, lr *vmath.Plane) *vmath.Plane {
 	defer telemetry.Start(telemetry.StageSR).Stop()
 	cfg := s.cfg
-	out := vmath.ResizeBicubicInto(vmath.Get(cfg.OutW, cfg.OutH), lr)
+	out := vmath.ResizeBicubicInto(dst, lr)
 
 	// Temporal fusion with the previous HR output, aligned by LR flow.
 	// The blend lands in place on the bicubic base (nothing reads the

@@ -8,7 +8,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -195,18 +194,6 @@ func (t *Trace) Downscale(targetMeanBps, minBps, maxBps float64) *Trace {
 	return out
 }
 
-// MarshalJSON / UnmarshalJSON use the natural struct encoding; these
-// wrappers exist so the format is part of the package contract.
-func (t *Trace) MarshalJSON() ([]byte, error) {
-	type alias Trace
-	return json.Marshal((*alias)(t))
-}
-
-func (t *Trace) UnmarshalJSON(b []byte) error {
-	type alias Trace
-	return json.Unmarshal(b, (*alias)(t))
-}
-
 // profile holds the synthetic-generator parameters of one network type.
 type profile struct {
 	meanMbps   float64 // Table 2 average throughput
@@ -229,12 +216,6 @@ var profiles = [numNetworkTypes]profile{
 	Net4G:   {meanMbps: 21.6, sigma: 0.28, phi: 0.10, lossMean: 0.013, lossBurstP: 0.014, lossBurstQ: 0.30, burstLoss: 0.10, rtt: 0.060, durMean: 317, count: 62},
 	Net5G:   {meanMbps: 36.4, sigma: 0.62, phi: 0.06, lossMean: 0.016, lossBurstP: 0.07, lossBurstQ: 0.25, burstLoss: 0.12, rtt: 0.040, durMean: 302, count: 53},
 	NetWiFi: {meanMbps: 82.3, sigma: 0.24, phi: 0.10, lossMean: 0.005, lossBurstP: 0.008, lossBurstQ: 0.40, burstLoss: 0.06, rtt: 0.020, durMean: 309, count: 68},
-}
-
-// Profile exposes the Table 2 calibration targets for a network type.
-func Profile(n NetworkType) (meanMbps, lossRate, durSeconds float64, count int) {
-	p := profiles[n]
-	return p.meanMbps, p.lossMean, p.durMean, p.count
 }
 
 // Generate synthesises one trace of the given type and duration (seconds)

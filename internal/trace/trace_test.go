@@ -45,7 +45,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateMatchesProfileMean(t *testing.T) {
 	for _, n := range NetworkTypes() {
 		tr := Generate(n, 300, 7)
-		mean, loss, _, _ := Profile(n)
+		mean, loss := profiles[n].meanMbps, profiles[n].lossMean
 		st := tr.Stat()
 		if math.Abs(st.AvgThroughput-mean*1e6) > 1 {
 			t.Errorf("%v: mean %v want %v", n, st.AvgThroughput, mean*1e6)
@@ -80,7 +80,7 @@ func TestCorpusMatchesTable2(t *testing.T) {
 			t.Errorf("%v count=%d want %d", n, got, want)
 		}
 		agg := Aggregate(corpus[n])
-		meanMbps, _, dur, _ := Profile(n)
+		meanMbps, dur := profiles[n].meanMbps, profiles[n].durMean
 		if math.Abs(agg.AvgDuration-dur) > dur*0.12 {
 			t.Errorf("%v duration %v want ≈%v", n, agg.AvgDuration, dur)
 		}

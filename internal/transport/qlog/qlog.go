@@ -88,9 +88,6 @@ func (t EventType) String() string {
 	return eventNames[t]
 }
 
-// NumEventTypes returns the taxonomy size.
-func NumEventTypes() int { return int(numEventTypes) }
-
 // Trigger qualifies why an event happened, following qlog's trigger
 // convention.
 type Trigger uint8

@@ -16,6 +16,11 @@ func flatTrace(bps, loss, rtt float64, secs int) *trace.Trace {
 	return tr
 }
 
+// dropAll is a loss model that loses every packet.
+type dropAll struct{}
+
+func (dropAll) Drop(_, _ float64) bool { return true }
+
 func newTestConn(bps, loss, rtt float64, seed int64) (*Conn, *netem.Clock) {
 	clock := &netem.Clock{}
 	fwd := netem.NewLink(clock, flatTrace(bps, loss, rtt, 3600), netem.NewGilbertElliott(seed))
@@ -69,8 +74,8 @@ func TestSendReliableCallbackOnce(t *testing.T) {
 func TestSendReliableGivesUp(t *testing.T) {
 	// 100% loss: must report failure after MaxAttempts.
 	clock := &netem.Clock{}
-	fwd := netem.NewLink(clock, flatTrace(1e6, 1.0, 0.02, 3600), netem.NewBernoulli(4))
-	// GE caps at BadLoss; Bernoulli(1.0) always drops.
+	// GE caps at BadLoss; dropAll loses every packet.
+	fwd := netem.NewLink(clock, flatTrace(1e6, 1.0, 0.02, 3600), dropAll{})
 	rev := netem.NewLink(clock, flatTrace(1e6, 0, 0.02, 3600), nil)
 	c := NewConn(clock, fwd, rev)
 	c.MaxAttempts = 3

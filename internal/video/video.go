@@ -68,33 +68,8 @@ func (r Resolution) Kbps() int { return ladder[r].kbps }
 // Bitrate returns the ladder target bitrate in bits per second.
 func (r Resolution) Bitrate() float64 { return float64(ladder[r].kbps) * 1000 }
 
-// FromKbps maps a ladder bitrate back to its resolution; ok is false for a
-// bitrate that is not on the ladder.
-func FromKbps(kbps int) (Resolution, bool) {
-	for _, r := range Resolutions() {
-		if ladder[r].kbps == kbps {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
 // Index returns the ladder index (0 = lowest).
 func (r Resolution) Index() int { return int(r) }
-
-// Frame is a single luma frame with its position in the stream.
-type Frame struct {
-	Index int          // frame number within the clip
-	Y     *vmath.Plane // luma plane, nominal range [0,255]
-}
-
-// Clip is a sequence of frames at FPS.
-type Clip struct {
-	Frames []*Frame
-}
-
-// Duration returns the clip length in seconds.
-func (c *Clip) Duration() float64 { return float64(len(c.Frames)) / FPS }
 
 // Category describes one of the ten synthetic content categories that stand
 // in for the paper's "top ten popular YouTube categories". Each category has
@@ -537,15 +512,6 @@ func (g *Generator) RenderInto(out *vmath.Plane, t int) *vmath.Plane {
 		}
 	}
 	return out.Clamp255()
-}
-
-// RenderClip renders n consecutive frames starting at frame start.
-func (g *Generator) RenderClip(start, n, w, h int) *Clip {
-	c := &Clip{Frames: make([]*Frame, n)}
-	for i := 0; i < n; i++ {
-		c.Frames[i] = &Frame{Index: start + i, Y: g.Render(start+i, w, h)}
-	}
-	return c
 }
 
 // ClipSource identifies one dataset clip: a category plus a creator seed.

@@ -30,12 +30,6 @@ func TestLadder(t *testing.T) {
 		if d := w*9 - h*16; d < -18 || d > 18 {
 			t.Errorf("%v not ~16:9: %dx%d", r, w, h)
 		}
-		if got, ok := FromKbps(r.Kbps()); !ok || got != r {
-			t.Errorf("FromKbps(%d) = %v,%v", r.Kbps(), got, ok)
-		}
-	}
-	if _, ok := FromKbps(999); ok {
-		t.Error("FromKbps(999) should fail")
 	}
 	if R1080.Bitrate() != 4400000 {
 		t.Errorf("Bitrate=%v", R1080.Bitrate())
@@ -133,20 +127,6 @@ func TestCrossResolutionConsistency(t *testing.T) {
 	down := vmath.ResizeBilinear(large, 80, 45)
 	if p := metrics.PSNR(small, down); p < 24 {
 		t.Fatalf("cross-resolution inconsistency: %v dB", p)
-	}
-}
-
-func TestRenderClip(t *testing.T) {
-	g := NewGenerator(Categories()[0], 1)
-	c := g.RenderClip(5, 8, 48, 27)
-	if len(c.Frames) != 8 {
-		t.Fatalf("frames=%d", len(c.Frames))
-	}
-	if c.Frames[0].Index != 5 || c.Frames[7].Index != 12 {
-		t.Fatalf("indices wrong: %d..%d", c.Frames[0].Index, c.Frames[7].Index)
-	}
-	if math.Abs(c.Duration()-8.0/30) > 1e-12 {
-		t.Fatalf("duration=%v", c.Duration())
 	}
 }
 

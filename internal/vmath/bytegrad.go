@@ -1,8 +1,6 @@
 package vmath
 
-import "math"
-
-// Byte-domain Sobel gradients — the integer twins of GradientsInto /
+// Byte-domain Sobel gradients — the integer twin of GradientsInto /
 // GradientMagnitudeInto for the fixed-point tier. On integer-valued
 // pixels the Sobel sums here are exactly the float kernel's (float32
 // holds ±1020 exactly), so the squared variant is not an approximation:
@@ -52,50 +50,6 @@ func GradientSquaredBytesInto(dst []int32, src *BytePlane) []int32 {
 			gx := v20 - v00 + 2*(v21-v01) + v22 - v02
 			gy := v02 - v00 + 2*(int32(r2[x])-int32(r0[x])) + v22 - v20
 			out[x] = gx*gx + gy*gy
-		}
-	}
-	return dst
-}
-
-// GradientMagnitudeBytesInto writes the rounded integer gradient
-// magnitude √(gx²+gy²) per pixel (max ⌈255·4·√2⌉ = 1443, fits int16).
-// math.Sqrt is IEEE-correctly rounded, so the result is deterministic
-// across platforms like the rest of the byte tier. Prefer
-// GradientSquaredBytesInto where only comparisons or ranks are needed —
-// rounding to whole integers here collapses nearby magnitudes into ties
-// that the squared domain keeps distinct.
-func GradientMagnitudeBytesInto(dst []int16, src *BytePlane) []int16 {
-	w, h := src.W, src.H
-	if cap(dst) < w*h {
-		dst = make([]int16, w*h)
-	}
-	dst = dst[:w*h]
-	for y := 0; y < h; y++ {
-		ym, yp := y-1, y+1
-		if ym < 0 {
-			ym = 0
-		}
-		if yp >= h {
-			yp = h - 1
-		}
-		r0 := src.Pix[ym*w : ym*w+w]
-		r1 := src.Pix[y*w : y*w+w]
-		r2 := src.Pix[yp*w : yp*w+w]
-		out := dst[y*w : y*w+w]
-		for x := 0; x < w; x++ {
-			xm, xp := x-1, x+1
-			if xm < 0 {
-				xm = 0
-			}
-			if xp >= w {
-				xp = w - 1
-			}
-			v00, v20 := int32(r0[xm]), int32(r0[xp])
-			v01, v21 := int32(r1[xm]), int32(r1[xp])
-			v02, v22 := int32(r2[xm]), int32(r2[xp])
-			gx := v20 - v00 + 2*(v21-v01) + v22 - v02
-			gy := v02 - v00 + 2*(int32(r2[x])-int32(r0[x])) + v22 - v20
-			out[x] = int16(math.Sqrt(float64(gx*gx+gy*gy)) + 0.5)
 		}
 	}
 	return dst

@@ -27,9 +27,6 @@ func NewBytePlane(w, h int) *BytePlane {
 	return &BytePlane{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
-// At returns the pixel at (x, y) without bounds-checking.
-func (p *BytePlane) At(x, y int) uint8 { return p.Pix[y*p.W+x] }
-
 // AtClamp returns the pixel at (x, y) with coordinates clamped to the plane
 // boundary (replicate padding), like Plane.AtClamp.
 func (p *BytePlane) AtClamp(x, y int) uint8 {

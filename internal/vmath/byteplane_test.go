@@ -31,8 +31,8 @@ func TestBytePlaneFromPlane(t *testing.T) {
 			t.Fatalf("pixel %d: %d, want %d", i, b.Pix[i], PixelByte(v))
 		}
 	}
-	if b.At(1, 0) != 255 || b.AtClamp(-3, 99) != b.At(0, 2) {
-		t.Fatal("At/AtClamp disagree with layout")
+	if b.Pix[1] != 255 || b.AtClamp(-3, 99) != b.Pix[2*b.W] {
+		t.Fatal("AtClamp disagrees with layout")
 	}
 	defer func() {
 		if recover() == nil {

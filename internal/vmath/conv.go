@@ -7,38 +7,6 @@ import (
 	"nerve/internal/par"
 )
 
-// ConvolveInto applies a general k×k kernel (odd k, row-major) to p with
-// replicate border padding, writing into dst (same size as p). Output rows
-// are independent, so row bands run on the shared pool with
-// pool-size-independent results. dst must not alias p.
-func ConvolveInto(dst, p *Plane, kernel []float32, k int) *Plane {
-	if k%2 == 0 || len(kernel) != k*k {
-		panic("vmath: Convolve needs an odd k×k kernel")
-	}
-	r := k / 2
-	dst = ensure(dst, p.W, p.H)
-	par.ForRows(p.H, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := 0; x < p.W; x++ {
-				var s float32
-				for j := 0; j < k; j++ {
-					for i := 0; i < k; i++ {
-						s += kernel[j*k+i] * p.AtClamp(x+i-r, y+j-r)
-					}
-				}
-				dst.Pix[y*p.W+x] = s
-			}
-		}
-	})
-	return dst
-}
-
-// Convolve applies a general k×k kernel (odd k, row-major) to p with
-// replicate border padding.
-func Convolve(p *Plane, kernel []float32, k int) *Plane {
-	return ConvolveInto(NewPlane(p.W, p.H), p, kernel, k)
-}
-
 // ConvolveSeparableInto applies a separable filter — the horizontal tap
 // vector kx, then the vertical tap vector ky (both odd length), replicate
 // padding — writing into dst (same size as p). The intermediate comes from
@@ -151,58 +119,9 @@ func GaussianBlur(p *Plane, sigma float64) *Plane {
 	return GaussianBlurInto(NewPlane(p.W, p.H), p, sigma)
 }
 
-// BoxBlurInto blurs p into dst with a (2r+1)×(2r+1) box filter; r < 1
-// copies p. dst may alias p.
-func BoxBlurInto(dst, p *Plane, r int) *Plane {
-	if r < 1 {
-		dst = ensure(dst, p.W, p.H)
-		if dst != p {
-			dst.CopyFrom(p)
-		}
-		return dst
-	}
-	n := 2*r + 1
-	taps := make([]float32, n)
-	for i := range taps {
-		taps[i] = 1 / float32(n)
-	}
-	return ConvolveSeparableInto(dst, p, taps, taps)
-}
-
-// BoxBlur blurs p with a (2r+1)×(2r+1) box filter.
-func BoxBlur(p *Plane, r int) *Plane {
-	return BoxBlurInto(NewPlane(p.W, p.H), p, r)
-}
-
-var (
-	sobelXKernel = []float32{
-		-1, 0, 1,
-		-2, 0, 2,
-		-1, 0, 1,
-	}
-	sobelYKernel = []float32{
-		-1, -2, -1,
-		0, 0, 0,
-		1, 2, 1,
-	}
-)
-
-// SobelXInto and SobelYInto compute horizontal and vertical Sobel
-// gradients into dst. dst must not alias p.
-func SobelXInto(dst, p *Plane) *Plane { return ConvolveInto(dst, p, sobelXKernel, 3) }
-
-// SobelYInto computes the vertical Sobel gradient into dst.
-func SobelYInto(dst, p *Plane) *Plane { return ConvolveInto(dst, p, sobelYKernel, 3) }
-
-// SobelX and SobelY compute horizontal and vertical Sobel gradients.
-func SobelX(p *Plane) *Plane { return SobelXInto(NewPlane(p.W, p.H), p) }
-
-func SobelY(p *Plane) *Plane { return SobelYInto(NewPlane(p.W, p.H), p) }
-
 // GradientsInto computes both Sobel gradients of p in a single pass,
 // writing the horizontal response into gx and the vertical into gy (both
-// sized like p). Neither destination may alias p. The per-pixel tap order
-// matches ConvolveInto, so results are bit-identical to SobelX/SobelY.
+// sized like p). Neither destination may alias p.
 func GradientsInto(gx, gy, p *Plane) *Plane {
 	gx = ensure(gx, p.W, p.H)
 	gy = ensure(gy, p.W, p.H)
@@ -255,28 +174,6 @@ func GradientMagnitudeInto(dst, p *Plane) *Plane {
 	return dst
 }
 
-// GradientMagnitude returns sqrt(gx²+gy²) per pixel of the Sobel gradients.
-func GradientMagnitude(p *Plane) *Plane {
-	return GradientMagnitudeInto(NewPlane(p.W, p.H), p)
-}
-
-// LaplacianInto applies the 4-connected Laplacian kernel into dst, used by
-// the enhancement branch for residual sharpening. dst must not alias p.
-func LaplacianInto(dst, p *Plane) *Plane {
-	return ConvolveInto(dst, p, laplacianKernel, 3)
-}
-
-var laplacianKernel = []float32{
-	0, 1, 0,
-	1, -4, 1,
-	0, 1, 0,
-}
-
-// Laplacian applies the 4-connected Laplacian kernel.
-func Laplacian(p *Plane) *Plane {
-	return LaplacianInto(NewPlane(p.W, p.H), p)
-}
-
 // UnsharpMaskInto sharpens p into dst by amount·(p − blur(p, sigma)),
 // clamping nothing. The blur is materialised into pooled scratch first, so
 // dst MAY alias p.
@@ -290,10 +187,4 @@ func UnsharpMaskInto(dst, p *Plane, sigma, amount float64) *Plane {
 	}
 	Put(blur)
 	return dst
-}
-
-// UnsharpMask sharpens p by amount·(p − blur(p, sigma)), clamping nothing;
-// the caller decides whether to clamp to [0,255].
-func UnsharpMask(p *Plane, sigma, amount float64) *Plane {
-	return UnsharpMaskInto(NewPlane(p.W, p.H), p, sigma, amount)
 }

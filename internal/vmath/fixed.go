@@ -8,11 +8,7 @@ package vmath
 // end to end. Each kernel documents its error bound against the float
 // reference and is differential-tested against it (fixed_test.go):
 //
-//   - ResizeNearestBytesInto  — bit-exact (same index math, float64 taps);
 //   - ResizeBilinearBytesInto — ≤1 LSB (Q15 weights vs float32 weights);
-//   - ConvolveSeparableBytesInto — ≤1 LSB for unit-gain kernels quantised
-//     with FixedTaps at shift ≥ 12 (Q6 intermediate rounding + tap
-//     quantisation stay under half an LSB combined);
 //   - SharpenBytesInto — ≤1 LSB (exact binomial blur, one final rounding).
 //
 // All destinations are written in full, so they may come dirty from the
@@ -53,7 +49,6 @@ type tapKey struct{ src, dst int }
 var resizeTaps struct {
 	sync.RWMutex
 	bilinear map[tapKey][]byteTap
-	nearest  map[tapKey][]int32
 }
 
 // bilinearTapsFor returns the cached Q15 bilinear tap table mapping dst
@@ -94,64 +89,6 @@ func bilinearTapsFor(src, dst int) []byteTap {
 	resizeTaps.bilinear[key] = t
 	resizeTaps.Unlock()
 	return t
-}
-
-// nearestTapsFor returns the cached nearest-neighbour source index per dst
-// coordinate. The indices are computed with exactly the float64 expression
-// ResizeNearestInto uses, so the byte kernel is bit-exact with the float
-// one by construction.
-func nearestTapsFor(src, dst int) []int32 {
-	key := tapKey{src, dst}
-	resizeTaps.RLock()
-	t := resizeTaps.nearest[key]
-	resizeTaps.RUnlock()
-	if t != nil {
-		return t
-	}
-	t = make([]int32, dst)
-	s := float64(src) / float64(dst)
-	for i := 0; i < dst; i++ {
-		j := int((float64(i) + 0.5) * s)
-		if j >= src {
-			j = src - 1
-		}
-		t[i] = int32(j)
-	}
-	resizeTaps.Lock()
-	if resizeTaps.nearest == nil {
-		resizeTaps.nearest = make(map[tapKey][]int32)
-	}
-	resizeTaps.nearest[key] = t
-	resizeTaps.Unlock()
-	return t
-}
-
-// ResizeNearestBytesInto resamples src to dst's size with nearest-neighbour
-// sampling — bit-exact with ResizeNearestInto on a byte shadow. dst must
-// not alias src.
-func ResizeNearestBytesInto(dst, src *BytePlane) *BytePlane {
-	w, h := dst.W, dst.H
-	if w == 0 || h == 0 {
-		return dst
-	}
-	if src.W == 0 || src.H == 0 {
-		for i := range dst.Pix {
-			dst.Pix[i] = 0
-		}
-		return dst
-	}
-	xt := nearestTapsFor(src.W, w)
-	yt := nearestTapsFor(src.H, h)
-	par.ForRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			row := src.Pix[int(yt[y])*src.W:]
-			out := dst.Pix[y*w : y*w+w]
-			for x := 0; x < w; x++ {
-				out[x] = row[xt[x]]
-			}
-		}
-	})
-	return dst
 }
 
 // ResizeBilinearBytesInto resamples src to dst's size with pixel-centre
@@ -216,183 +153,6 @@ func resizeBilinearBytesGeneric(dst, src *BytePlane) *BytePlane {
 		}
 	})
 	return dst
-}
-
-// FixedTaps quantises a float tap vector to Q(shift) int16 taps with
-// sum-preserving rounding: each tap is rounded to nearest and the centre
-// tap absorbs the residual so the quantised sum equals the rounded
-// quantised kernel sum exactly. For a normalised kernel (sum 1) the DC
-// gain is therefore exactly 1<<shift, which makes flat regions bit-exact
-// through ConvolveSeparableBytesInto.
-func FixedTaps(taps []float32, shift uint) []int16 {
-	q := make([]int16, len(taps))
-	var sumF float64
-	var sumQ int64
-	for i, t := range taps {
-		v := int64(roundHalfAway(float64(t) * float64(int64(1)<<shift)))
-		q[i] = int16(v)
-		sumQ += v
-		sumF += float64(t)
-	}
-	target := int64(roundHalfAway(sumF * float64(int64(1)<<shift)))
-	q[len(q)/2] += int16(target - sumQ)
-	return q
-}
-
-func roundHalfAway(v float64) int64 {
-	if v >= 0 {
-		return int64(v + 0.5)
-	}
-	return -int64(-v + 0.5)
-}
-
-// convMidShift is the fractional precision of the horizontal intermediate
-// in ConvolveSeparableBytesInto: Q6, stored as a bias-32768 uint16 pair in
-// a pooled byte plane. Six fractional bits keep the intermediate rounding
-// error (±2⁻⁷ grey levels, scaled by the vertical kernel's ≈unit gain)
-// negligible against the ≤1 LSB contract while leaving 9 integer bits of
-// headroom: kernels with Σ|kx|·255 < 2^(shift−6)·32768 — i.e. horizontal
-// gain below ≈2 — are representable.
-const convMidShift = 6
-
-// ConvolveSeparableBytesInto applies a separable filter with Q(shift)
-// int16 taps — horizontal kx then vertical ky, replicate padding — to src,
-// writing clamped [0,255] bytes into dst (same size as src). The
-// horizontal intermediate lives at Q6 in a pooled 2W-wide byte plane
-// (bias-32768 uint16 little-endian pairs), so the steady-state cost is
-// zero plane allocations; dst MAY alias src. shift must be in [7, 14];
-// taps from FixedTaps at shift 12 satisfy the ≤1 LSB contract for
-// unit-gain kernels.
-//
-// When every vertical tap is non-negative (blurs — the hot per-frame
-// case), the vertical pass runs a SWAR fast path: two biased-uint16
-// columns ride in the 32-bit lanes of one uint64 and accumulate with one
-// multiply-add per tap. The fast path computes exactly the same sums as
-// the scalar path (the bias unfolds after accumulation), so results are
-// identical with and without it.
-func ConvolveSeparableBytesInto(dst, src *BytePlane, kx, ky []int16, shift uint) *BytePlane {
-	if len(kx)%2 == 0 || len(ky)%2 == 0 {
-		panic("vmath: ConvolveSeparableBytes needs odd tap vectors")
-	}
-	if shift < 7 || shift > 14 {
-		panic(fmt.Sprintf("vmath: ConvolveSeparableBytes shift %d outside [7, 14]", shift))
-	}
-	if dst.W != src.W || dst.H != src.H {
-		panic(fmt.Sprintf("vmath: dst size %dx%d != %dx%d", dst.W, dst.H, src.W, src.H))
-	}
-	var sumAbsX int64
-	for _, k := range kx {
-		if k < 0 {
-			sumAbsX -= int64(k)
-		} else {
-			sumAbsX += int64(k)
-		}
-	}
-	// The Q6 intermediate must fit the biased int16: |mid| ≤ 32767.
-	if (sumAbsX*255)>>(shift-convMidShift) > 32767 {
-		panic("vmath: ConvolveSeparableBytes horizontal gain too large for the Q6 intermediate")
-	}
-	w, h := src.W, src.H
-	if w == 0 || h == 0 {
-		return dst
-	}
-
-	// Horizontal pass: int32 accumulate at Q(shift), round to Q6, store
-	// biased in a pooled 2W-wide byte plane.
-	mid := GetBytes(2*w, h)
-	rx := len(kx) / 2
-	roundH := int32(1) << (shift - convMidShift - 1)
-	par.ForRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			srow := src.Pix[y*w : y*w+w]
-			mrow := mid.Pix[y*2*w : y*2*w+2*w]
-			for x := 0; x < w; x++ {
-				var acc int32
-				for i, k := range kx {
-					sx := x + i - rx
-					if sx < 0 {
-						sx = 0
-					} else if sx >= w {
-						sx = w - 1
-					}
-					acc += int32(k) * int32(srow[sx])
-				}
-				m := (acc + roundH) >> (shift - convMidShift)
-				binary.LittleEndian.PutUint16(mrow[2*x:], uint16(m+32768))
-			}
-		}
-	})
-
-	// Vertical pass: Q(shift)·Q6 accumulate, one rounding shift to bytes.
-	ry := len(ky) / 2
-	outShift := shift + convMidShift
-	roundV := int64(1) << (outShift - 1)
-	allNonNeg := true
-	var sumY int64
-	for _, k := range ky {
-		if k < 0 {
-			allNonNeg = false
-		}
-		sumY += int64(k)
-	}
-	// SWAR lane bound: Σky · 65535 must stay below 2³² so biased lanes
-	// never carry. Σky ≤ 2¹⁴ (shift ≤ 14 with ≈unit gain) keeps this true;
-	// oversized kernels just take the scalar path.
-	swar := allNonNeg && sumY*65535 < 1<<32
-	par.ForRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			orow := dst.Pix[y*w : y*w+w]
-			x := 0
-			if swar {
-				for ; x+1 < w; x += 2 {
-					var acc uint64
-					for j, k := range ky {
-						sy := y + j - ry
-						if sy < 0 {
-							sy = 0
-						} else if sy >= h {
-							sy = h - 1
-						}
-						mrow := mid.Pix[sy*2*w+2*x:]
-						u := uint64(binary.LittleEndian.Uint16(mrow)) |
-							uint64(binary.LittleEndian.Uint16(mrow[2:]))<<32
-						acc += uint64(k) * u
-					}
-					bias := uint64(sumY) * 32768
-					orow[x] = clampByteQ(int64(acc&0xffffffff)-int64(bias), roundV, outShift)
-					orow[x+1] = clampByteQ(int64(acc>>32)-int64(bias), roundV, outShift)
-				}
-			}
-			for ; x < w; x++ {
-				var acc int64
-				for j, k := range ky {
-					sy := y + j - ry
-					if sy < 0 {
-						sy = 0
-					} else if sy >= h {
-						sy = h - 1
-					}
-					u := binary.LittleEndian.Uint16(mid.Pix[sy*2*w+2*x:])
-					acc += int64(k) * (int64(u) - 32768)
-				}
-				orow[x] = clampByteQ(acc, roundV, outShift)
-			}
-		}
-	})
-	PutBytes(mid)
-	return dst
-}
-
-// clampByteQ rounds a Q(outShift) accumulator to a clamped byte.
-func clampByteQ(acc, round int64, outShift uint) uint8 {
-	v := (acc + round) >> outShift
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
 }
 
 // SharpenBytesInto applies a binomial unsharp mask to src in integer

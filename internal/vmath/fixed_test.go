@@ -89,22 +89,6 @@ var resizeGeometries = []struct{ sw, sh, dw, dh int }{
 	{960, 540, 480, 270}, // the recovery work-res path
 }
 
-// TestResizeNearestBytesBitExact: the byte nearest-neighbour kernel must be
-// bit-exact with the float one — same index math, bytes round-trip
-// untouched.
-func TestResizeNearestBytesBitExact(t *testing.T) {
-	for _, g := range resizeGeometries {
-		for pi, src := range fixedTestPlanes(g.sw, g.sh, 1) {
-			got := ResizeNearestBytesInto(NewBytePlane(g.dw, g.dh), src)
-			ref := ResizeNearestInto(NewPlane(g.dw, g.dh), toFloat(src))
-			refB := NewBytePlane(g.dw, g.dh).FromPlane(ref)
-			if d := maxAbsDiffBytes(t, got, refB); d != 0 {
-				t.Errorf("geometry %v plane %d: nearest bytes differs from float by %d", g, pi, d)
-			}
-		}
-	}
-}
-
 // TestResizeBilinearBytesWithinOneLSB: the Q15 SWAR bilinear resize must
 // stay within 1 LSB of the rounded float reference on every corpus plane
 // and geometry.
@@ -134,93 +118,6 @@ func TestResizeBilinearBytesFlatExact(t *testing.T) {
 		if v != 137 {
 			t.Fatalf("pixel %d: flat resize produced %d, want 137", i, v)
 		}
-	}
-}
-
-// TestFixedTapsSumPreserving: FixedTaps must make a normalised kernel sum
-// to exactly 1<<shift so DC gain is exact.
-func TestFixedTapsSumPreserving(t *testing.T) {
-	for _, sigma := range []float64{0.6, 1.0, 1.8} {
-		taps := GaussianKernel1D(sigma)
-		for _, shift := range []uint{8, 12, 14} {
-			q := FixedTaps(taps, shift)
-			var sum int64
-			for _, v := range q {
-				sum += int64(v)
-			}
-			if sum != 1<<shift {
-				t.Errorf("sigma %v shift %d: tap sum %d != %d", sigma, shift, sum, 1<<shift)
-			}
-		}
-	}
-}
-
-// TestConvolveSeparableBytesWithinOneLSB sweeps Gaussian kernels over the
-// corpus and checks the Q12 fixed path against the float separable
-// convolution (clamped and rounded).
-func TestConvolveSeparableBytesWithinOneLSB(t *testing.T) {
-	const w, h = 73, 41
-	for _, sigma := range []float64{0.6, 1.0, 1.8} {
-		taps := GaussianKernel1D(sigma)
-		q := FixedTaps(taps, 12)
-		for pi, src := range fixedTestPlanes(w, h, 3) {
-			got := ConvolveSeparableBytesInto(NewBytePlane(w, h), src, q, q, 12)
-			ref := ConvolveSeparableInto(NewPlane(w, h), toFloat(src), taps, taps)
-			refB := NewBytePlane(w, h).FromPlane(ref.Clamp255())
-			if d := maxAbsDiffBytes(t, got, refB); d > 1 {
-				t.Errorf("sigma %v plane %d: conv bytes off by %d LSB (want ≤1)", sigma, pi, d)
-			}
-		}
-	}
-}
-
-// TestConvolveSeparableBytesFlatExact: with sum-preserving taps a flat
-// plane must pass through bit-exactly.
-func TestConvolveSeparableBytesFlatExact(t *testing.T) {
-	const w, h = 40, 25
-	src := NewBytePlane(w, h)
-	for i := range src.Pix {
-		src.Pix[i] = 201
-	}
-	q := FixedTaps(GaussianKernel1D(1.0), 12)
-	got := ConvolveSeparableBytesInto(NewBytePlane(w, h), src, q, q, 12)
-	for i, v := range got.Pix {
-		if v != 201 {
-			t.Fatalf("pixel %d: flat conv produced %d, want 201", i, v)
-		}
-	}
-}
-
-// TestConvolveSeparableBytesSignedTaps exercises the scalar vertical path
-// (negative taps disable SWAR) with a difference-of-impulses kernel and
-// checks it against the float reference.
-func TestConvolveSeparableBytesSignedTaps(t *testing.T) {
-	const w, h = 37, 29
-	// A light sharpening kernel: centre 1.5, sides −0.25 (sum 1).
-	ft := []float32{-0.25, 1.5, -0.25}
-	q := FixedTaps(ft, 12)
-	for pi, src := range fixedTestPlanes(w, h, 4) {
-		got := ConvolveSeparableBytesInto(NewBytePlane(w, h), src, q, q, 12)
-		ref := ConvolveSeparableInto(NewPlane(w, h), toFloat(src), ft, ft)
-		refB := NewBytePlane(w, h).FromPlane(ref.Clamp255())
-		if d := maxAbsDiffBytes(t, got, refB); d > 1 {
-			t.Errorf("plane %d: signed-tap conv off by %d LSB (want ≤1)", pi, d)
-		}
-	}
-}
-
-// TestConvolveSeparableBytesAliasing: dst aliasing src must match the
-// non-aliased result (the intermediate fully consumes src first).
-func TestConvolveSeparableBytesAliasing(t *testing.T) {
-	const w, h = 31, 22
-	src := fixedTestPlanes(w, h, 5)[0]
-	q := FixedTaps(GaussianKernel1D(1.0), 12)
-	want := ConvolveSeparableBytesInto(NewBytePlane(w, h), src, q, q, 12)
-	inPlace := NewBytePlane(w, h)
-	copy(inPlace.Pix, src.Pix)
-	ConvolveSeparableBytesInto(inPlace, inPlace, q, q, 12)
-	if d := maxAbsDiffBytes(t, inPlace, want); d != 0 {
-		t.Fatalf("aliased conv differs from non-aliased by %d", d)
 	}
 }
 
@@ -294,25 +191,17 @@ func TestToPlaneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResizeBytesPoolSizeIndependent: the fixed kernels must stay
+// TestResizeBytesPoolSizeIndependent: the byte resize must stay
 // bit-identical across pool sizes like every other kernel (ForRows bands
 // are pool-size independent).
 func TestResizeBytesPoolSizeIndependent(t *testing.T) {
 	src := fixedTestPlanes(160, 90, 10)[0]
-	run := func(workers int) (*BytePlane, *BytePlane) {
+	run := func(workers int) *BytePlane {
 		defer par.SetWorkers(workers)()
-		r := ResizeBilinearBytesInto(NewBytePlane(321, 181), src)
-		q := FixedTaps(GaussianKernel1D(1.0), 12)
-		c := ConvolveSeparableBytesInto(NewBytePlane(160, 90), src, q, q, 12)
-		return r, c
+		return ResizeBilinearBytesInto(NewBytePlane(321, 181), src)
 	}
-	r1, c1 := run(1)
-	r4, c4 := run(4)
-	if d := maxAbsDiffBytes(t, r1, r4); d != 0 {
+	if d := maxAbsDiffBytes(t, run(1), run(4)); d != 0 {
 		t.Errorf("resize differs across pool sizes by %d", d)
-	}
-	if d := maxAbsDiffBytes(t, c1, c4); d != 0 {
-		t.Errorf("conv differs across pool sizes by %d", d)
 	}
 }
 
@@ -341,20 +230,5 @@ func BenchmarkSharpenBytes540p(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SharpenBytesInto(dst, src, 64)
-	}
-}
-
-func BenchmarkConvolveSeparableBytes540p(b *testing.B) {
-	src := NewBytePlane(960, 540)
-	rng := rand.New(rand.NewSource(13))
-	for i := range src.Pix {
-		src.Pix[i] = uint8(rng.Intn(256))
-	}
-	q := FixedTaps(GaussianKernel1D(1.0), 12)
-	dst := NewBytePlane(960, 540)
-	b.SetBytes(int64(len(src.Pix)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConvolveSeparableBytesInto(dst, src, q, q, 12)
 	}
 }

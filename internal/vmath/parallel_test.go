@@ -21,8 +21,8 @@ func TestResizeParallelBitExact(t *testing.T) {
 		"bilinear-down": func() *Plane { return ResizeBilinear(src, 40, 23) },
 		"bicubic-up":    func() *Plane { return ResizeBicubic(src, 320, 180) },
 		"bicubic-down":  func() *Plane { return ResizeBicubic(src, 40, 23) },
-		"downsample":    func() *Plane { return Downsample(src, 2, 3) },
-		"convolve":      func() *Plane { return Laplacian(src) },
+		"downsample":    func() *Plane { return DownsampleInto(NewPlane(80, 32), src, 2, 3) },
+		"gradients":     func() *Plane { return GradientMagnitudeInto(nil, src) },
 		"conv-sep":      func() *Plane { return GaussianBlur(src, 1.2) },
 	}
 	for name, k := range kernels {

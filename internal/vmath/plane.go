@@ -1,19 +1,16 @@
 // Package vmath provides the dense 2-D float32 image ("plane") type and the
 // numerical kernels shared by every image-processing module in NERVE:
-// resampling, separable convolution, gradients, pixel shuffle and the
-// Charbonnier loss used to train and evaluate the neural modules.
+// resampling, separable convolution, gradients and error metrics.
 //
 // Planes store pixels in row-major order in the nominal 8-bit range
 // [0, 255], but nothing in the package enforces that range; intermediate
 // results (residuals, gradients, flow fields) routinely leave it.
 //
-// Every hot kernel comes in two forms: an allocating convenience form
-// (ResizeBilinear, Convolve, UnsharpMask, …) and a destination-passing
-// "Into" form (ResizeBilinearInto, ConvolveInto, …) that writes into a
-// caller-supplied plane, usually one obtained from the plane Pool
-// (Get/Put). The Into forms allocate nothing and are what the per-frame
-// pipeline uses to reach a zero-allocation steady state; the allocating
-// forms are thin wrappers that remain for tests and cold paths. Unless a
+// Hot kernels take a destination: the "Into" forms (ResizeBilinearInto,
+// ConvolveSeparableInto, …) write into a caller-supplied plane, usually
+// one obtained from the plane Pool (Get/Put), and allocate nothing — what
+// the per-frame pipeline uses to reach a zero-allocation steady state. An
+// allocating form exists only where a cold path calls it. Unless a
 // kernel's doc comment says otherwise, dst must not alias src.
 package vmath
 
@@ -107,19 +104,9 @@ func (p *Plane) Clamp255() *Plane {
 	return p
 }
 
-// Add stores a+b into dst (allocating when dst is nil) and returns dst.
-// All three planes must share dimensions. Add, Sub, Lerp and LerpMask are
-// purely elementwise, so dst MAY alias any operand.
-func Add(dst, a, b *Plane) *Plane {
-	checkSameSize(a, b)
-	dst = ensure(dst, a.W, a.H)
-	for i := range a.Pix {
-		dst.Pix[i] = a.Pix[i] + b.Pix[i]
-	}
-	return dst
-}
-
 // Sub stores a-b into dst (allocating when dst is nil) and returns dst.
+// All three planes must share dimensions. Sub and Lerp are purely
+// elementwise, so dst MAY alias any operand.
 func Sub(dst, a, b *Plane) *Plane {
 	checkSameSize(a, b)
 	dst = ensure(dst, a.W, a.H)
@@ -127,14 +114,6 @@ func Sub(dst, a, b *Plane) *Plane {
 		dst.Pix[i] = a.Pix[i] - b.Pix[i]
 	}
 	return dst
-}
-
-// Scale multiplies every pixel of p by s in place and returns p.
-func (p *Plane) Scale(s float32) *Plane {
-	for i := range p.Pix {
-		p.Pix[i] *= s
-	}
-	return p
 }
 
 // AddScaled adds s*q to p in place (p += s*q) and returns p.
@@ -152,18 +131,6 @@ func Lerp(dst, a, b *Plane, w float32) *Plane {
 	dst = ensure(dst, a.W, a.H)
 	for i := range a.Pix {
 		dst.Pix[i] = a.Pix[i] + w*(b.Pix[i]-a.Pix[i])
-	}
-	return dst
-}
-
-// LerpMask blends a and b with a per-pixel weight plane
-// (dst = (1-w)*a + w*b). w is typically a soft mask in [0,1].
-func LerpMask(dst, a, b, w *Plane) *Plane {
-	checkSameSize(a, b)
-	checkSameSize(a, w)
-	dst = ensure(dst, a.W, a.H)
-	for i := range a.Pix {
-		dst.Pix[i] = a.Pix[i] + w.Pix[i]*(b.Pix[i]-a.Pix[i])
 	}
 	return dst
 }
@@ -225,26 +192,6 @@ func MAE(a, b *Plane) float64 {
 	return s / float64(len(a.Pix))
 }
 
-// Charbonnier returns the Charbonnier loss sqrt(diff² + eps²) averaged over
-// all pixels — the optimisation metric the paper uses for both the recovery
-// and SR networks. eps defaults to 1e-3 when non-positive.
-func Charbonnier(a, b *Plane, eps float64) float64 {
-	checkSameSize(a, b)
-	if len(a.Pix) == 0 {
-		return 0
-	}
-	if eps <= 0 {
-		eps = 1e-3
-	}
-	e2 := eps * eps
-	var s float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i] - b.Pix[i])
-		s += math.Sqrt(d*d + e2)
-	}
-	return s / float64(len(a.Pix))
-}
-
 // SampleBilinear samples p at the continuous coordinate (x, y) with bilinear
 // interpolation and replicate padding at the border.
 func (p *Plane) SampleBilinear(x, y float32) float32 {
@@ -259,37 +206,6 @@ func (p *Plane) SampleBilinear(x, y float32) float32 {
 	top := v00 + fx*(v10-v00)
 	bot := v01 + fx*(v11-v01)
 	return top + fy*(bot-top)
-}
-
-// SubPlane copies the rectangle with top-left (x0, y0) and size w×h into a
-// new plane. The rectangle is clamped to p's bounds; out-of-range source
-// pixels replicate the border.
-func (p *Plane) SubPlane(x0, y0, w, h int) *Plane {
-	q := NewPlane(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			q.Pix[y*w+x] = p.AtClamp(x0+x, y0+y)
-		}
-	}
-	return q
-}
-
-// Paste copies src into p with its top-left corner at (x0, y0), clipping to
-// p's bounds.
-func (p *Plane) Paste(src *Plane, x0, y0 int) {
-	for y := 0; y < src.H; y++ {
-		ty := y0 + y
-		if ty < 0 || ty >= p.H {
-			continue
-		}
-		for x := 0; x < src.W; x++ {
-			tx := x0 + x
-			if tx < 0 || tx >= p.W {
-				continue
-			}
-			p.Pix[ty*p.W+tx] = src.Pix[y*src.W+x]
-		}
-	}
 }
 
 func ensure(dst *Plane, w, h int) *Plane {

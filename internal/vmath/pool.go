@@ -25,7 +25,7 @@ import (
 //     build (-tags poolcheck) turns violations into panics or NaN-poisoned
 //     pixels instead of silent frame corruption.
 //   - Planes whose backing array did not come from this pool (Clone,
-//     NewPlane, FromSlice, SubPlane results) may be Put too: if the
+//     NewPlane, FromSlice results) may be Put too: if the
 //     capacity matches a bucket size they are adopted, otherwise they are
 //     silently dropped. Either way it is safe. A Put into a full bucket is
 //     dropped the same way.

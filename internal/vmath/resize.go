@@ -245,77 +245,3 @@ func DownsampleInto(dst, p *Plane, fx, fy int) *Plane {
 	})
 	return dst
 }
-
-// Downsample box-averages p by an integer factor in each dimension,
-// producing a (W/fx)×(H/fy) plane. This matches the degradation model used
-// to build the bitrate ladder (area-average downscale).
-func Downsample(p *Plane, fx, fy int) *Plane {
-	return DownsampleInto(NewPlane(p.W/fx, p.H/fy), p, fx, fy)
-}
-
-// PixelShuffleInto rearranges an r²-channel stack of planes (all w×h) into
-// dst, which must be (w·r)×(h·r). dst must not alias any channel.
-func PixelShuffleInto(dst *Plane, channels []*Plane, r int) *Plane {
-	if len(channels) != r*r {
-		panic("vmath: PixelShuffle needs r*r channels")
-	}
-	w, h := channels[0].W, channels[0].H
-	for _, c := range channels {
-		checkSameSize(channels[0], c)
-	}
-	dst = ensure(dst, w*r, h*r)
-	for c, ch := range channels {
-		ox := c % r
-		oy := c / r
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				dst.Pix[(y*r+oy)*dst.W+(x*r+ox)] = ch.Pix[y*w+x]
-			}
-		}
-	}
-	return dst
-}
-
-// PixelShuffle rearranges an r²-channel stack of planes (all w×h) into one
-// (w·r)×(h·r) plane, mirroring the sub-pixel convolution upsampler
-// (Shi et al.) the paper uses for its 4× output stage. channels must have
-// length r*r; channel index c maps to sub-pixel offset (c%r, c/r).
-func PixelShuffle(channels []*Plane, r int) *Plane {
-	if len(channels) != r*r {
-		panic("vmath: PixelShuffle needs r*r channels")
-	}
-	return PixelShuffleInto(NewPlane(channels[0].W*r, channels[0].H*r), channels, r)
-}
-
-// PixelUnshuffleInto splits p (whose dimensions must be divisible by r)
-// into the r*r caller-supplied planes in dst, each (W/r)×(H/r). No dst
-// plane may alias p.
-func PixelUnshuffleInto(dst []*Plane, p *Plane, r int) []*Plane {
-	if p.W%r != 0 || p.H%r != 0 {
-		panic("vmath: PixelUnshuffle dimensions not divisible by r")
-	}
-	if len(dst) != r*r {
-		panic("vmath: PixelUnshuffle needs r*r destination planes")
-	}
-	w, h := p.W/r, p.H/r
-	for c := range dst {
-		dst[c] = ensure(dst[c], w, h)
-		ox := c % r
-		oy := c / r
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				dst[c].Pix[y*w+x] = p.Pix[(y*r+oy)*p.W+(x*r+ox)]
-			}
-		}
-	}
-	return dst
-}
-
-// PixelUnshuffle is the inverse of PixelShuffle: it splits p (whose
-// dimensions must be divisible by r) into r*r planes of size (W/r)×(H/r).
-func PixelUnshuffle(p *Plane, r int) []*Plane {
-	if p.W%r != 0 || p.H%r != 0 {
-		panic("vmath: PixelUnshuffle dimensions not divisible by r")
-	}
-	return PixelUnshuffleInto(make([]*Plane, r*r), p, r)
-}

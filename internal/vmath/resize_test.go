@@ -56,7 +56,7 @@ func TestDownsampleBoxAverage(t *testing.T) {
 		0, 2, 4, 6,
 		2, 4, 6, 8,
 	})
-	q := Downsample(p, 2, 2)
+	q := DownsampleInto(NewPlane(2, 1), p, 2, 2)
 	if q.W != 2 || q.H != 1 {
 		t.Fatalf("shape %dx%d", q.W, q.H)
 	}
@@ -71,29 +71,7 @@ func TestDownsamplePanicsOnBadFactor(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Downsample(NewPlane(4, 4), 0, 1)
-}
-
-func TestPixelShuffleRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := randomPlane(rng, 8, 6)
-	chans := PixelUnshuffle(p, 2)
-	if len(chans) != 4 {
-		t.Fatalf("got %d channels", len(chans))
-	}
-	back := PixelShuffle(chans, 2)
-	if d := MAE(p, back); d != 0 {
-		t.Fatalf("round trip error %v", d)
-	}
-}
-
-func TestPixelShufflePanicsOnChannelCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PixelShuffle([]*Plane{NewPlane(2, 2)}, 2)
+	DownsampleInto(NewPlane(4, 4), NewPlane(4, 4), 0, 1)
 }
 
 func TestBicubicSharpnessVsBilinear(t *testing.T) {
@@ -107,8 +85,8 @@ func TestBicubicSharpnessVsBilinear(t *testing.T) {
 	}
 	bl := ResizeBilinear(p, 64, 64)
 	bc := ResizeBicubic(p, 64, 64)
-	_, gb := GradientMagnitude(bl).MinMax()
-	_, gc := GradientMagnitude(bc).MinMax()
+	_, gb := GradientMagnitudeInto(nil, bl).MinMax()
+	_, gc := GradientMagnitudeInto(nil, bc).MinMax()
 	if gc < gb {
 		t.Fatalf("bicubic max gradient %v < bilinear %v", gc, gb)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"nerve/internal/flow"
 	"nerve/internal/par"
+	"nerve/internal/vmath"
 )
 
 // TestBackwardParallelBitExact is the warp differential test of the
@@ -20,11 +21,11 @@ func TestBackwardParallelBitExact(t *testing.T) {
 	}
 
 	restore := par.SetWorkers(1)
-	wantOut, wantValid := Backward(src, f, 0.3)
+	wantOut, wantValid := warpNew(src, f, 0.3)
 	restore()
 	for _, workers := range []int{2, 8} {
 		restore := par.SetWorkers(workers)
-		gotOut, gotValid := Backward(src, f, 0.3)
+		gotOut, gotValid := warpNew(src, f, 0.3)
 		restore()
 		for i := range wantOut.Pix {
 			if gotOut.Pix[i] != wantOut.Pix[i] {
@@ -45,9 +46,10 @@ func benchBackward(b *testing.B, workers int) {
 		f.U[i] = 2
 		f.Conf[i] = 1
 	}
+	out, valid := vmath.NewPlane(480, 270), vmath.NewPlane(480, 270)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Backward(src, f, 0.1)
+		BackwardInto(out, valid, src, f, 0.1)
 	}
 }
 

@@ -4,10 +4,9 @@
 // at 270p (§7); here the cost model in internal/device charges the
 // corresponding latencies.
 //
-// BackwardInto and BackwardPlaneInto are the destination-passing forms used
-// by the per-frame pipeline with pooled planes (vmath.Get/Put); Backward
-// and BackwardPlane allocate and remain for tests and cold paths. In all
-// of them the destinations must not alias src.
+// BackwardInto (float planes) and BackwardBytesInto (byte planes) are
+// destination-passing: the per-frame pipeline hands them pooled planes
+// (vmath.Get/Put). In both the destinations must not alias src.
 package warp
 
 import (
@@ -53,41 +52,4 @@ func BackwardInto(out, valid *vmath.Plane, src *vmath.Plane, f *flow.Field, conf
 			}
 		}
 	})
-}
-
-// Backward warps src by the flow field: out(x, y) = src(x + U, y + V).
-// The field must match src's dimensions. See BackwardInto for the meaning
-// of the returned hole mask.
-func Backward(src *vmath.Plane, f *flow.Field, confThreshold float32) (out, valid *vmath.Plane) {
-	out = vmath.NewPlane(src.W, src.H)
-	valid = vmath.NewPlane(src.W, src.H)
-	BackwardInto(out, valid, src, f, confThreshold)
-	return out, valid
-}
-
-// BackwardPlaneInto warps src by explicit per-pixel offset planes (u, v)
-// into dst, with no confidence handling. dst must match src's size and not
-// alias it.
-func BackwardPlaneInto(dst, src, u, v *vmath.Plane) *vmath.Plane {
-	if src.W != u.W || src.H != u.H || src.W != v.W || src.H != v.H {
-		panic("warp: offset plane size mismatch")
-	}
-	if dst.W != src.W || dst.H != src.H {
-		panic("warp: dst plane size mismatch")
-	}
-	par.ForRows(src.H, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := 0; x < src.W; x++ {
-				i := y*src.W + x
-				dst.Pix[i] = src.SampleBilinear(float32(x)+u.Pix[i], float32(y)+v.Pix[i])
-			}
-		}
-	})
-	return dst
-}
-
-// BackwardPlane warps src by explicit per-pixel offset planes (u, v) with
-// no confidence handling; used by tests and simple callers.
-func BackwardPlane(src, u, v *vmath.Plane) *vmath.Plane {
-	return BackwardPlaneInto(vmath.NewPlane(src.W, src.H), src, u, v)
 }

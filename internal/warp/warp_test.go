@@ -18,13 +18,21 @@ func texture(seed int64, w, h int) *vmath.Plane {
 	return vmath.GaussianBlur(p, 1.2)
 }
 
+// warpNew runs BackwardInto into fresh planes.
+func warpNew(src *vmath.Plane, f *flow.Field, confThreshold float32) (out, valid *vmath.Plane) {
+	out = vmath.NewPlane(src.W, src.H)
+	valid = vmath.NewPlane(src.W, src.H)
+	BackwardInto(out, valid, src, f, confThreshold)
+	return out, valid
+}
+
 func TestBackwardIdentity(t *testing.T) {
 	src := texture(1, 48, 32)
 	f := flow.NewField(48, 32)
 	for i := range f.Conf {
 		f.Conf[i] = 1
 	}
-	out, valid := Backward(src, f, 0.1)
+	out, valid := warpNew(src, f, 0.1)
 	if d := vmath.MAE(src, out); d > 1e-3 {
 		t.Fatalf("identity warp error %v", d)
 	}
@@ -42,7 +50,7 @@ func TestBackwardTranslation(t *testing.T) {
 		f.V[i] = -2
 		f.Conf[i] = 1
 	}
-	out, _ := Backward(src, f, 0.1)
+	out, _ := warpNew(src, f, 0.1)
 	// out(x,y) = src(x+4, y-2); verify in the interior.
 	for y := 8; y < 40; y++ {
 		for x := 8; x < 56; x++ {
@@ -61,7 +69,7 @@ func TestBackwardMarksOutOfBounds(t *testing.T) {
 		f.U[i] = -10 // samples left of frame for x < 10
 		f.Conf[i] = 1
 	}
-	_, valid := Backward(src, f, 0.1)
+	_, valid := warpNew(src, f, 0.1)
 	if valid.At(2, 16) != 0 {
 		t.Fatal("out-of-bounds sample not masked")
 	}
@@ -76,7 +84,7 @@ func TestBackwardMasksLowConfidence(t *testing.T) {
 	for i := range f.Conf {
 		f.Conf[i] = 0.05
 	}
-	_, valid := Backward(src, f, 0.3)
+	_, valid := warpNew(src, f, 0.3)
 	if _, max := valid.MinMax(); max != 0 {
 		t.Fatal("low-confidence pixels not masked")
 	}
@@ -93,20 +101,9 @@ func TestWarpClosesMotionLoop(t *testing.T) {
 		}
 	}
 	f := flow.Estimate(prev, cur, flow.Options{})
-	out, _ := Backward(prev, f, 0)
+	out, _ := warpNew(prev, f, 0)
 	if p := metrics.PSNR(cur, out); p < 30 {
 		t.Fatalf("flow+warp reconstruction only %v dB", p)
-	}
-}
-
-func TestBackwardPlane(t *testing.T) {
-	src := texture(6, 16, 16)
-	u := vmath.NewPlane(16, 16)
-	v := vmath.NewPlane(16, 16)
-	u.Fill(1)
-	out := BackwardPlane(src, u, v)
-	if out.At(4, 4) != src.At(5, 4) {
-		t.Fatal("BackwardPlane shift wrong")
 	}
 }
 
@@ -116,7 +113,7 @@ func TestBackwardPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Backward(vmath.NewPlane(8, 8), flow.NewField(9, 8), 0)
+	warpNew(vmath.NewPlane(8, 8), flow.NewField(9, 8), 0)
 }
 
 func BenchmarkBackward270p(b *testing.B) {
@@ -126,8 +123,9 @@ func BenchmarkBackward270p(b *testing.B) {
 		f.U[i] = 2
 		f.Conf[i] = 1
 	}
+	out, valid := vmath.NewPlane(480, 270), vmath.NewPlane(480, 270)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Backward(src, f, 0.1)
+		BackwardInto(out, valid, src, f, 0.1)
 	}
 }
