@@ -43,17 +43,10 @@ type Config struct {
 	// content config, so any node can build any payload when an owner
 	// dies.
 	Origin httpstream.ServerConfig
-	// PeerCacheBytes bounds the LRU over peer-fetched payloads (default
-	// httpstream.DefaultCacheBytes). Separate budget from the local
-	// origin's segment cache.
-	PeerCacheBytes int64
 	// PeerRetry is the retry policy of peer fetches (default: 2 attempts
 	// of 3 s — fail fast so a dead owner costs little before the
 	// fallback kicks in).
 	PeerRetry httpstream.RetryPolicy
-	// PeerHTTP is the transport for peer fetches (default
-	// http.DefaultClient's semantics with a fresh Transport).
-	PeerHTTP *http.Client
 	// DeadCooldown is how long a failed peer stays suspected (default
 	// DefaultDeadCooldown).
 	DeadCooldown time.Duration
@@ -91,7 +84,7 @@ type Node struct {
 	origin *httpstream.Server
 
 	flight httpstream.Flight
-	cache  *httpstream.Cache // peer-fetched payloads
+	cache  *httpstream.Cache // peer-fetched payloads; a budget apart from the origin's cache
 	peers  map[string]*httpstream.Client
 
 	localServes    counter
@@ -128,22 +121,13 @@ func NewNode(cfg Config) (*Node, error) {
 	if pol.RequestTimeout == 0 {
 		pol.RequestTimeout = 3 * time.Second
 	}
-	hc := cfg.PeerHTTP
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
-	}
 	// Every peer fetch is marked, so the receiving node serves locally.
-	hc = &http.Client{
-		Transport:     peerMarker{base: hc.Transport},
-		CheckRedirect: hc.CheckRedirect,
-		Jar:           hc.Jar,
-		Timeout:       hc.Timeout,
-	}
+	hc := &http.Client{Transport: peerMarker{base: &http.Transport{MaxIdleConnsPerHost: 16}}}
 	n := &Node{
 		cfg:    cfg,
 		ring:   NewRing(cfg.DeadCooldown, cfg.Peers...),
 		origin: origin,
-		cache:  httpstream.NewCache(cfg.PeerCacheBytes),
+		cache:  httpstream.NewCache(httpstream.DefaultCacheBytes),
 		peers:  make(map[string]*httpstream.Client),
 	}
 	for _, p := range cfg.Peers {

@@ -29,9 +29,6 @@ type ServerConfig struct {
 	GOP int
 	// PacketPayload is the slice/packet payload target (default 1100).
 	PacketPayload int
-	// CodeW, CodeH override the binary point code geometry (defaults
-	// 128×64 = 1 KB).
-	CodeW, CodeH int
 }
 
 // ServerFrame is what the server emits per frame: the encoded slices
@@ -66,7 +63,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return &Server{
 		cfg:       cfg,
 		enc:       enc,
-		extractor: edgecode.NewExtractor(cfg.CodeW, cfg.CodeH),
+		extractor: edgecode.NewExtractor(0, 0),
 	}, nil
 }
 
@@ -98,10 +95,9 @@ type ClientConfig struct {
 	// governor switch float↔fixed per frame from observed frame times
 	// (see tierGovernor). The fixed tier runs the integer/SWAR kernels end
 	// to end: the recovery model's byte-plane warp path
-	// (recovery.Config.FixedPoint) and the byte-plane SR head
-	// (sr.NewFast). Its output differs from the float tier by at most a
-	// few grey levels (see the tier parity tests in those packages) at a
-	// fraction of the one-core frame time.
+	// (recovery.Recoverer.SetFixedPoint) and the byte-plane SR head
+	// (sr.NewFast), which is a bilinear upsample, at a fraction of the
+	// one-core frame time.
 	Tier Tier
 	// Device is the cost model used for the latency/energy accounting
 	// (default iPhone 12).
@@ -215,7 +211,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:     cfg,
 		dec:     codec.NewDecoder(codec.Config{W: cfg.W, H: cfg.H}),
-		rec:     recovery.New(recovery.Config{OutW: cfg.W, OutH: cfg.H, FixedPoint: tier == TierFixed}),
+		rec:     recovery.New(recovery.Config{OutW: cfg.W, OutH: cfg.H}),
 		ext:     edgecode.NewExtractor(0, 0),
 		classes: make(map[FrameClass]int),
 	}

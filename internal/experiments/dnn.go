@@ -464,11 +464,11 @@ func Fig11(opts Options) ([]string, error) {
 		bic := sr.UpscaleBicubic(lr, dispW, dispH)
 		resolver := sr.New(sr.Config{OutW: dispW, OutH: dispH})
 		our := resolver.Upscale(lr)
-		for name, p := range map[string]*vmath.Plane{
-			fmt.Sprintf("fig11_%s_bicubic.pgm", r): bic,
-			fmt.Sprintf("fig11_%s_sr.pgm", r):      our,
-		} {
-			path, err := writeArtefact(opts, name, p)
+		for _, a := range []struct {
+			kind string
+			p    *vmath.Plane
+		}{{"bicubic", bic}, {"sr", our}} {
+			path, err := writeArtefact(opts, fmt.Sprintf("fig11_%s_%s.pgm", r, a.kind), a.p)
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -186,6 +187,28 @@ func TestVisualisationsWriteArtefacts(t *testing.T) {
 	}
 	if !bytes.HasPrefix(b, []byte("P5\n")) {
 		t.Fatal("not a P5 PGM")
+	}
+}
+
+// TestFig11ArtefactOrder: Fig11 lists its artefacts in one fixed order
+// (bicubic then sr per rung, truth last), so two runs print the same line.
+func TestFig11ArtefactOrder(t *testing.T) {
+	o := quick()
+	o.OutDir = t.TempDir()
+	var runs [2][]string
+	for i := range runs {
+		paths, err := Fig11(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = paths
+	}
+	if !slices.Equal(runs[0], runs[1]) {
+		t.Fatalf("two Fig11 runs listed different artefacts:\n%v\n%v", runs[0], runs[1])
+	}
+	if p := runs[0]; len(p) != 9 || filepath.Base(p[0]) != "fig11_240p_bicubic.pgm" ||
+		filepath.Base(p[1]) != "fig11_240p_sr.pgm" || filepath.Base(p[8]) != "fig11_truth.pgm" {
+		t.Fatalf("artefact order %v, want bicubic then sr per rung, truth last", p)
 	}
 }
 

@@ -88,12 +88,10 @@ func DefaultMix() []Share {
 
 // Config parameterises a Run.
 type Config struct {
-	// BaseURL targets an external nerved server. Leave empty and set
-	// Server to run one in-process on a loopback listener instead.
-	BaseURL string
-	// Targets lists several external origins (a cluster): client i's
-	// primary is Targets[i mod len], with the rest as its failover ring.
-	// Overrides BaseURL when non-empty.
+	// Targets lists the external nerved origins (one, or a cluster):
+	// client i's primary is Targets[i mod len], with the rest as its
+	// failover ring. Leave empty and set Server to run one in-process on
+	// a loopback listener instead.
 	Targets []string
 	// Server, when non-nil, is the in-process origin configuration
 	// (self-serve mode). Required for the steady-state allocation proof:
@@ -134,21 +132,14 @@ type Config struct {
 	// PerClient includes per-client stats in the report (big; used by
 	// determinism tests and debugging).
 	PerClient bool
-	// BufferCapSec caps the simulated player buffer (default 4 chunk
-	// durations). In Duration mode clients sleep off buffer beyond the
-	// cap — real player pacing — so request rate matches playback rate.
-	BufferCapSec float64
 }
 
 func (c Config) normalize() (Config, error) {
-	if c.BaseURL == "" && len(c.Targets) == 0 && c.Server == nil {
-		return c, errors.New("loadgen: need BaseURL, Targets or Server")
+	if len(c.Targets) == 0 && c.Server == nil {
+		return c, errors.New("loadgen: need Targets or Server")
 	}
 	if c.ClusterNodes > 1 && c.Server == nil {
 		return c, errors.New("loadgen: ClusterNodes needs Server (self-serve cluster mode)")
-	}
-	if len(c.Targets) == 0 && c.BaseURL != "" {
-		c.Targets = []string{c.BaseURL}
 	}
 	if c.Clients <= 0 {
 		return c, errors.New("loadgen: Clients must be positive")
@@ -486,10 +477,10 @@ func (h *harness) runClient(ctx context.Context, id int, targets []string, ps *p
 	}
 	m := cli.Manifest()
 	chunkSec := m.ChunkSeconds
-	bufCap := cfg.BufferCapSec
-	if bufCap <= 0 {
-		bufCap = 4 * chunkSec
-	}
+	// The simulated player buffer holds up to four chunks. In Duration
+	// mode clients sleep off buffer beyond the cap — real player pacing —
+	// so request rate matches playback rate.
+	bufCap := 4 * chunkSec
 
 	ses := qoe.NewSession(qoe.DefaultParams())
 	fpc := int(m.ChunkSeconds * float64(m.FPS))

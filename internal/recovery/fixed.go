@@ -21,7 +21,7 @@ import (
 // tier) or r.prevWorkB (fixed tier). warpPrev releases it.
 func (r *Recoverer) prepPrevWork(prev *vmath.Plane) {
 	cfg := r.cfg
-	if !cfg.FixedPoint {
+	if !r.fixed {
 		r.prevWork = vmath.ResizeBilinearInto(vmath.Get(cfg.WorkW, cfg.WorkH), prev)
 		return
 	}
@@ -42,7 +42,7 @@ func (r *Recoverer) baseFlow(in Input) *flow.Field {
 	}
 	cfg := r.cfg
 	opts := flow.Options{Levels: 3, Search: 3, ZeroBias: 0.4}
-	if !cfg.FixedPoint {
+	if !r.fixed {
 		prevPrevWork := vmath.ResizeBilinearInto(vmath.Get(cfg.WorkW, cfg.WorkH), in.PrevPrev)
 		f := flow.Estimate(prevPrevWork, r.prevWork, opts)
 		vmath.Put(prevPrevWork)
@@ -84,25 +84,16 @@ func (r *Recoverer) resizeOut(work *vmath.Plane) *vmath.Plane {
 }
 
 // finishFixed is the fixed tier's enhance + output resize, fused so the
-// frame is rounded to bytes exactly once: integer binomial unsharp in
-// place (vmath.SharpenBytesInto, standing in for the float tier's σ=1
-// gaussian unsharp at the same amount), history blend and EMA update in Q8
-// against a byte-plane H, then the Q15 SWAR upscale to output resolution.
-// The float tier's enhance/resizeOut pair is the reference; the fused
-// byte path trades ≤1 LSB per stage for the largest single cut in the
-// recovery deadline budget.
+// frame is rounded to bytes exactly once: history blend and EMA update in
+// Q8 against a byte-plane H, then the Q15 SWAR upscale to output
+// resolution. Unlike the float tier's enhance it does not sharpen: on the
+// byte tier a sharpen amplified coding error and measured below the plain
+// resize (DESIGN.md §10).
 func (r *Recoverer) finishFixed(img, valid *vmath.Plane) *vmath.Plane {
 	cfg := r.cfg
 	imgB := vmath.GetBytes(img.W, img.H).FromPlane(img)
-	amount := 0.25 * (float64(cfg.OutH)/float64(cfg.WorkH) - 1)
-	if amount > 0.35 {
-		amount = 0.35
-	}
-	if amount > 0.01 {
-		vmath.SharpenBytesInto(imgB, imgB, int32(amount*256+0.5))
-	}
 	if r.historyB != nil && r.historyB.W == imgB.W && r.historyB.H == imgB.H {
-		hw := int32(cfg.HistoryWeight*256 + 0.5)
+		const hw = 38 // round(historyWeight · 256)
 		for i := range imgB.Pix {
 			if valid.Pix[i] < 0.5 {
 				v := int32(imgB.Pix[i])
@@ -149,15 +140,15 @@ func (r *Recoverer) warpPrev(f *flow.Field) (warped, valid *vmath.Plane) {
 	cfg := r.cfg
 	warped = vmath.Get(cfg.WorkW, cfg.WorkH)
 	valid = vmath.Get(cfg.WorkW, cfg.WorkH)
-	if !cfg.FixedPoint {
-		warp.BackwardInto(warped, valid, r.prevWork, f, cfg.ConfThreshold)
+	if !r.fixed {
+		warp.BackwardInto(warped, valid, r.prevWork, f, confThreshold)
 		vmath.Put(r.prevWork)
 		r.prevWork = nil
 		return warped, valid
 	}
 	warpedB := vmath.GetBytes(cfg.WorkW, cfg.WorkH)
 	validB := vmath.GetBytes(cfg.WorkW, cfg.WorkH)
-	warp.BackwardBytesInto(warpedB, validB, r.prevWorkB, f, cfg.ConfThreshold)
+	warp.BackwardBytesInto(warpedB, validB, r.prevWorkB, f, confThreshold)
 	vmath.PutBytes(r.prevWorkB)
 	r.prevWorkB = nil
 	warpedB.ToPlane(warped)

@@ -16,7 +16,8 @@ func chainOutputs(t *testing.T, fixed bool, steps int) ([]*vmath.Plane, float64)
 	t.Helper()
 	g := video.NewGenerator(video.Categories()[2], 7)
 	ext := edgecode.NewExtractor(0, 0)
-	r := New(Config{OutW: tw, OutH: th, FixedPoint: fixed})
+	r := New(Config{OutW: tw, OutH: th})
+	r.SetFixedPoint(fixed)
 	prevPrev := g.Render(38, tw, th)
 	prev := g.Render(39, tw, th)
 	prevCode := ext.Extract(prev)
@@ -60,7 +61,8 @@ func TestFixedPointHintedParity(t *testing.T) {
 // fixed tier (byte flow + byte warp with no hint fusion).
 func TestFixedPointExtrapolatedRuns(t *testing.T) {
 	g := video.NewGenerator(video.Categories()[2], 8)
-	r := New(Config{OutW: tw, OutH: th, FixedPoint: true})
+	r := New(Config{OutW: tw, OutH: th})
+	r.SetFixedPoint(true)
 	prevPrev := g.Render(10, tw, th)
 	prev := g.Render(11, tw, th)
 	truth := g.Render(12, tw, th)
@@ -76,7 +78,8 @@ func TestFixedPointExtrapolatedRuns(t *testing.T) {
 func TestFixedPointZeroPlaneAllocsWarm(t *testing.T) {
 	g := video.NewGenerator(video.Categories()[2], 9)
 	ext := edgecode.NewExtractor(0, 0)
-	r := New(Config{OutW: tw, OutH: th, FixedPoint: true})
+	r := New(Config{OutW: tw, OutH: th})
+	r.SetFixedPoint(true)
 	prevPrev := g.Render(20, tw, th)
 	prev := g.Render(21, tw, th)
 	prevCode := ext.Extract(prev)
@@ -112,7 +115,8 @@ func benchmarkRecoverHintedTier(b *testing.B, fixed bool) {
 	const w, h = 960, 540
 	g := video.NewGenerator(video.Categories()[2], 10)
 	ext := edgecode.NewExtractor(0, 0)
-	r := New(Config{OutW: w, OutH: h, FixedPoint: fixed})
+	r := New(Config{OutW: w, OutH: h})
+	r.SetFixedPoint(fixed)
 	prevPrev := g.Render(30, w, h)
 	prev := g.Render(31, w, h)
 	prevCode := ext.Extract(prev)

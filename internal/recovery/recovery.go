@@ -42,23 +42,6 @@ type Config struct {
 	// at 270p to fit the mobile latency budget). Zero selects OutW/OutH
 	// scaled down to a height of at most 270.
 	WorkW, WorkH int
-	// ConfThreshold is the flow confidence below which warped pixels are
-	// treated as holes (default 0.35).
-	ConfThreshold float32
-	// InpaintIters is the number of diffusion iterations (default 40).
-	InpaintIters int
-	// HistoryWeight blends the temporal state H into low-confidence
-	// output (default 0.15).
-	HistoryWeight float32
-	// FixedPoint selects the integer tier for the heavy kernels: byte-plane
-	// work-resolution resampling, SWAR-SAD block flow (flow.EstimateBytes)
-	// and the Q15 SWAR backward warp (warp.BackwardBytesInto). The
-	// mismatch/inpaint/enhance branches stay float — they run on the small
-	// work plane and their cost is hole-count-, not area-, bound. The tiers
-	// produce near-identical output (TestFixedPointHintedParity); fixed
-	// point exists for the frame deadline, trading ≤1 LSB kernel error for
-	// roughly half the recovery latency.
-	FixedPoint bool
 }
 
 func (c Config) withDefaults() Config {
@@ -74,17 +57,19 @@ func (c Config) withDefaults() Config {
 			c.WorkW, c.WorkH = c.OutW, c.OutH
 		}
 	}
-	if c.ConfThreshold == 0 {
-		c.ConfThreshold = 0.35
-	}
-	if c.InpaintIters <= 0 {
-		c.InpaintIters = 40
-	}
-	if c.HistoryWeight == 0 {
-		c.HistoryWeight = 0.15
-	}
 	return c
 }
+
+const (
+	// confThreshold is the flow confidence below which warped pixels are
+	// treated as holes.
+	confThreshold = 0.35
+	// inpaintIters is the number of diffusion iterations.
+	inpaintIters = 40
+	// historyWeight blends the temporal state H into low-confidence
+	// output.
+	historyWeight = 0.15
+)
 
 // Input bundles everything available to recover the current frame.
 type Input struct {
@@ -107,6 +92,7 @@ type Input struct {
 // stream restarts.
 type Recoverer struct {
 	cfg      Config
+	fixed    bool             // integer tier; see SetFixedPoint
 	history  *vmath.Plane     // H at work resolution; persistent pooled plane
 	historyB *vmath.BytePlane // fixed-tier H; see finishFixed
 
@@ -132,13 +118,23 @@ func New(cfg Config) *Recoverer {
 // Config returns the effective configuration (defaults applied).
 func (r *Recoverer) Config() Config { return r.cfg }
 
-// SetFixedPoint switches the kernel tier between calls — the adaptive
-// client flips it per frame under deadline pressure. It is safe at any
-// frame boundary: the float and byte tiers keep separate temporal history
-// (history/historyB) and prev-work caches, each re-seeded lazily on the
-// first frame its tier runs, so a switch never reads state written in the
-// other tier's numeric domain. Not safe concurrently with Recover.
-func (r *Recoverer) SetFixedPoint(on bool) { r.cfg.FixedPoint = on }
+// SetFixedPoint selects the kernel tier for the following calls (the
+// float tier until it is first called). The integer tier runs the heavy
+// kernels on bytes: work-resolution resampling, SWAR-SAD block flow
+// (flow.EstimateBytes), the Q15 SWAR backward warp
+// (warp.BackwardBytesInto) and a byte finish (finishFixed). The
+// mismatch/inpaint branches stay float — they run on the small work plane
+// and their cost is hole-count-, not area-, bound. The tiers produce
+// near-identical output (TestFixedPointHintedParity) at roughly half the
+// recovery latency for the integer tier.
+//
+// The adaptive client flips the tier per frame under deadline pressure.
+// It is safe at any frame boundary: the float and byte tiers keep
+// separate temporal history (history/historyB) and prev-work caches, each
+// re-seeded lazily on the first frame its tier runs, so a switch never
+// reads state written in the other tier's numeric domain. Not safe
+// concurrently with Recover.
+func (r *Recoverer) SetFixedPoint(on bool) { r.fixed = on }
 
 // Reset clears the temporal history state.
 func (r *Recoverer) Reset() {
@@ -244,11 +240,11 @@ func (r *Recoverer) recoverHinted(in Input) *vmath.Plane {
 
 	// Inpaint holes guided by the current code's contours, then enhance.
 	guide := in.CurCode.EdgeGuide(cfg.WorkW, cfg.WorkH)
-	filled := r.inpaint(warped, valid, guide, cfg.InpaintIters)
+	filled := r.inpaint(warped, valid, guide, inpaintIters)
 	vmath.Put(guide)
 	vmath.Put(warped)
 	var res *vmath.Plane
-	if cfg.FixedPoint {
+	if r.fixed {
 		res = r.finishFixed(filled, valid)
 		vmath.Put(filled)
 	} else {
@@ -429,7 +425,6 @@ func (r *Recoverer) markCodeMismatch(warped, valid *vmath.Plane, cur *edgecode.C
 // two previous frames is extrapolated one step forward (constant velocity),
 // and inpainting runs unguided.
 func (r *Recoverer) recoverExtrapolated(in Input) *vmath.Plane {
-	cfg := r.cfg
 	r.prepPrevWork(in.Prev)
 	// Flow from I_{t-2} to I_{t-1}; assuming constant motion, the same
 	// field predicts I_t from I_{t-1} — one extrapolation step is the
@@ -439,10 +434,10 @@ func (r *Recoverer) recoverExtrapolated(in Input) *vmath.Plane {
 	warped, valid := r.warpPrev(ext)
 	f.Release()
 	r.overlayPartWork(warped, valid, in)
-	filled := r.inpaint(warped, valid, nil, cfg.InpaintIters)
+	filled := r.inpaint(warped, valid, nil, inpaintIters)
 	vmath.Put(warped)
 	var res *vmath.Plane
-	if cfg.FixedPoint {
+	if r.fixed {
 		res = r.finishFixed(filled, valid)
 		vmath.Put(filled)
 	} else {
@@ -473,10 +468,9 @@ func (r *Recoverer) enhance(img, valid *vmath.Plane) *vmath.Plane {
 	// Blend with history where the warp had no reliable source: the
 	// history carries content diffusion alone cannot invent.
 	if r.history != nil && r.history.W == out.W && r.history.H == out.H {
-		hw := r.cfg.HistoryWeight
 		for i := range out.Pix {
 			if valid.Pix[i] < 0.5 {
-				out.Pix[i] = out.Pix[i] + hw*(r.history.Pix[i]-out.Pix[i])
+				out.Pix[i] = out.Pix[i] + historyWeight*(r.history.Pix[i]-out.Pix[i])
 			}
 		}
 	}

@@ -12,10 +12,11 @@ import (
 	"nerve/internal/vmath"
 )
 
-// goldenFast pins FastUpscaler.UpscaleBytesInto's output on rendered
-// source frames at the play geometry and at a small 2× geometry. A faster
-// kernel that computes the same arithmetic must leave these digests
-// exactly as they are.
+// goldenFast pins the bytes of FastUpscaler's output on rendered source
+// frames at the play geometry and at a small 2× geometry. A faster kernel
+// that computes the same arithmetic must leave these digests exactly as
+// they are. They were computed when the head's LR sharpen was deleted,
+// from the sharpen-free path it already had (a zero amount).
 var goldenFast = []struct {
 	lrW, lrH, outW, outH int
 	seed                 int64
@@ -23,8 +24,8 @@ var goldenFast = []struct {
 	digest               string
 	why                  string
 }{
-	{960, 540, 1920, 1080, 1, 95, "a360d418478608e03b893d94632ceced6adc210a7355190ab78c1be156d43b87", "play geometry: 540p rung to the 1080p display"},
-	{160, 90, 320, 180, 7, 12, "55b5436d366000f3462c14a83c58223ad0308a54ea597b8ae97d8e47eb3e624d", "small 2× geometry, the zero-alloc test's size"},
+	{960, 540, 1920, 1080, 1, 95, "f7c6a1e401e9aac64860b7ee41cce6d82aa30569a05758d07fe2acdc3552face", "play geometry: 540p rung to the 1080p display"},
+	{160, 90, 320, 180, 7, 12, "1903e1a454bc697bbdcacde8a680a356ca30b3d9d6b7132da81a4422a413188f", "small 2× geometry, the zero-alloc test's size"},
 }
 
 func byteDigest(p *vmath.BytePlane) string {
@@ -36,10 +37,8 @@ func byteDigest(p *vmath.BytePlane) string {
 func TestFastUpscaleGolden(t *testing.T) {
 	for _, c := range goldenFast {
 		g := video.NewGenerator(video.Categories()[3], c.seed)
-		lr := vmath.NewBytePlane(c.lrW, c.lrH).FromPlane(g.Render(c.t, c.lrW, c.lrH))
-		out := vmath.NewBytePlane(c.outW, c.outH)
-		NewFast(Config{OutW: c.outW, OutH: c.outH}).UpscaleBytesInto(out, lr)
-		if got := byteDigest(out); got != c.digest {
+		out := NewFast(Config{OutW: c.outW, OutH: c.outH}).Upscale(g.Render(c.t, c.lrW, c.lrH))
+		if got := byteDigest(vmath.NewBytePlane(c.outW, c.outH).FromPlane(out)); got != c.digest {
 			t.Errorf("%dx%d → %dx%d (%s): digest %s, want %s", c.lrW, c.lrH, c.outW, c.outH, c.why, got, c.digest)
 		}
 	}
@@ -48,23 +47,22 @@ func TestFastUpscaleGolden(t *testing.T) {
 // goldenFastFloat pins FastUpscaler.Upscale's float output — the path the
 // client's fixed tier runs — on rendered frames and on noisy float inputs
 // with fractional values outside [0, 255], at the play geometry, small and
-// odd 2× geometries, every sharpen regime (default, strong, none) and one
-// non-2× ratio. The digests were computed before the 2× path read and
-// wrote float planes itself, through FromPlane, UpscaleBytesInto and
-// ToPlane.
+// odd 2× geometries and one non-2× ratio. The digests were computed when
+// the head's LR sharpen was deleted, from the sharpen-free path it
+// already had (a zero amount); the 33×17 row ran that path all along and
+// kept its digest.
 var goldenFastFloat = []struct {
 	lrW, lrH, outW, outH int
 	seed                 int64
 	t                    int
-	boost                float32
 	noisy                bool
 	digest               string
 }{
-	{960, 540, 1920, 1080, 1, 95, 0, false, "564eaac65aa89ae2cb229a366f1d378a520663c6d0be58597f8178f682f2845c"},
-	{160, 90, 320, 180, 7, 12, 0, false, "15046d5ebfcbb24440c589411cf09543c33e8dcecdc825a9cbab605568325f4e"},
-	{97, 53, 194, 106, 3, 0, 0.35, true, "690ca36ac8ebfb4c73cf3eaf3489f09a52b894bb35977558bae6a9a697bc5234"},
-	{33, 17, 66, 34, 4, 0, -1, true, "6e6424421c938317ef5f92d58e657767fa3c63de92a41e4188144b09bc6328f3"},
-	{160, 90, 240, 135, 7, 12, 0, false, "fa4aa01cddf1a26cd630f6468760f9a487d98dd7ede75d3d9552ca1675423e8e"},
+	{960, 540, 1920, 1080, 1, 95, false, "85b515a52520a1fa6d6f7df1511befdaefb0a18ed9a2e1354a047f8da8c97727"},
+	{160, 90, 320, 180, 7, 12, false, "e75bb6d0f5a50442c0841215d05fa8d53eb9eaf8cf71db3abe65a9545b1cf4ff"},
+	{97, 53, 194, 106, 3, 0, true, "15d2953403cebb9b341417b1762861a2ec3ba16e2f478133ea18c66a55cb9b18"},
+	{33, 17, 66, 34, 4, 0, true, "6e6424421c938317ef5f92d58e657767fa3c63de92a41e4188144b09bc6328f3"},
+	{160, 90, 240, 135, 7, 12, false, "a94fe356d46ae6df445d424a388c44fdda8d20f3ba91b29e279beac6c7f45b45"},
 }
 
 func floatDigest(p *vmath.Plane) string {
@@ -95,9 +93,9 @@ func TestFastUpscaleFloatGolden(t *testing.T) {
 		if !c.noisy {
 			lr = video.NewGenerator(video.Categories()[3], c.seed).Render(c.t, c.lrW, c.lrH)
 		}
-		out := NewFast(Config{OutW: c.outW, OutH: c.outH, DetailBoost: c.boost}).Upscale(lr)
+		out := NewFast(Config{OutW: c.outW, OutH: c.outH}).Upscale(lr)
 		if got := floatDigest(out); got != c.digest {
-			t.Errorf("%dx%d → %dx%d boost %v: digest %s, want %s", c.lrW, c.lrH, c.outW, c.outH, c.boost, got, c.digest)
+			t.Errorf("%dx%d → %dx%d: digest %s, want %s", c.lrW, c.lrH, c.outW, c.outH, got, c.digest)
 		}
 		vmath.Put(out)
 	}

@@ -87,66 +87,60 @@ func BenchmarkUpscale(b *testing.B) { benchUpscale(b, 1) }
 func BenchmarkUpscaleParallel(b *testing.B) { benchUpscale(b, 0) }
 
 // TestFastUpscaleParallelBitExact: the byte head is bit-identical to the
-// two-kernel composite (SharpenBytesInto, then ResizeBilinearBytesInto) at
-// pool sizes 1, 2 and 8, on the fused 2× path for every sharpen amount
-// and on the unfused path at 3×.
+// byte bilinear resize at pool sizes 1, 2 and 8, on the exact-2× kernel
+// and on the generic one at 3×.
 func TestFastUpscaleParallelBitExact(t *testing.T) {
-	cases := []struct {
-		lrW, lrH, outW, outH int
-		boost                float32 // 0: the default amount for the ratio
-	}{
-		{97, 53, 194, 106, 0},
-		{97, 53, 194, 106, 1.0 / 256},
-		{97, 53, 194, 106, 90.0 / 256},
-		{97, 53, 194, 106, 255.0 / 256},
-		{160, 90, 320, 180, 0},
-		{64, 36, 192, 108, 0}, // 3×: sharpen plane + generic resize
+	cases := []struct{ lrW, lrH, outW, outH int }{
+		{97, 53, 194, 106},
+		{160, 90, 320, 180},
+		{64, 36, 192, 108}, // 3×: byte shadows + generic resize
 	}
 	for _, c := range cases {
-		lr := randomByteLR(c.lrW, c.lrH, int64(c.lrW+c.outW))
+		lr := randomLR(c.lrW, c.lrH, int64(c.lrW+c.outW))
+		want := byteResize(lr, c.outW, c.outH)
 		for _, workers := range []int{1, 2, 8} {
 			restore := par.SetWorkers(workers)
-			fu := NewFast(Config{OutW: c.outW, OutH: c.outH, DetailBoost: c.boost})
-			sharp := vmath.SharpenBytesInto(vmath.NewBytePlane(c.lrW, c.lrH), lr, fu.boost256(c.lrW))
-			want := vmath.ResizeBilinearBytesInto(vmath.NewBytePlane(c.outW, c.outH), sharp)
-			got := vmath.NewBytePlane(c.outW, c.outH)
-			for i := range got.Pix {
-				got.Pix[i] = 0xAA // dirty, as from the pool
-			}
-			fu.UpscaleBytesInto(got, lr)
+			got := NewFast(Config{OutW: c.outW, OutH: c.outH}).UpscaleInto(dirtyPlane(c.outW, c.outH), lr)
 			restore()
 			for i := range want.Pix {
 				if got.Pix[i] != want.Pix[i] {
-					t.Fatalf("%dx%d → %dx%d boost %v workers=%d: pixel %d is %d, composite %d",
-						c.lrW, c.lrH, c.outW, c.outH, c.boost, workers, i, got.Pix[i], want.Pix[i])
+					t.Fatalf("%dx%d → %dx%d workers=%d: pixel %d is %v, byte resize %v",
+						c.lrW, c.lrH, c.outW, c.outH, workers, i, got.Pix[i], want.Pix[i])
 				}
 			}
 		}
 	}
 }
 
-// TestFastUpscaleFloatMatchesBytePath: Upscale's float front end is
-// bit-identical to shadowing lr with FromPlane, running UpscaleBytesInto
-// and converting back with ToPlane, on fractional inputs outside
-// [0, 255], at every sharpen regime and at pool sizes 1, 2 and 8.
+// TestFastUpscaleFloatMatchesBytePath: the head is bit-identical to
+// ToPlane(ResizeBilinearBytesInto(FromPlane(lr))) on fractional inputs
+// outside [0, 255], at 2× from the play geometry down to one-pixel-wide
+// frames and at one non-2× ratio, for pool sizes 1, 2 and 8. Each head
+// runs twice into a dirty destination, so the second call reuses the row
+// cache the first sized.
 func TestFastUpscaleFloatMatchesBytePath(t *testing.T) {
-	for _, sz := range []struct{ w, h int }{{960, 540}, {97, 53}, {33, 17}, {5, 3}, {2, 2}, {1, 1}} {
-		lr := noisyPlane(sz.w, sz.h, int64(sz.w+7*sz.h))
-		for _, boost := range []float32{0, 90.0 / 256, -1} { // a256 = 20 at 2×, 90, none
-			cfg := Config{OutW: 2 * sz.w, OutH: 2 * sz.h, DetailBoost: boost}
-			want := NewFast(cfg).UpscaleBytesInto(vmath.NewBytePlane(cfg.OutW, cfg.OutH),
-				vmath.NewBytePlane(sz.w, sz.h).FromPlane(lr)).ToPlane(vmath.NewPlane(cfg.OutW, cfg.OutH))
-			for _, workers := range []int{1, 2, 8} {
-				restore := par.SetWorkers(workers)
-				got := NewFast(cfg).Upscale(lr)
-				restore()
+	for _, c := range []struct{ lrW, lrH, outW, outH int }{
+		{960, 540, 1920, 1080}, {97, 53, 194, 106}, {33, 17, 66, 34},
+		{5, 3, 10, 6}, {2, 2, 4, 4}, {1, 1, 2, 2}, {1, 17, 2, 34},
+		{160, 90, 240, 135},
+	} {
+		lr := noisyPlane(c.lrW, c.lrH, int64(c.lrW+7*c.lrH))
+		want := byteResize(lr, c.outW, c.outH)
+		for _, workers := range []int{1, 2, 8} {
+			restore := par.SetWorkers(workers)
+			fu := NewFast(Config{OutW: c.outW, OutH: c.outH})
+			got := [2]*vmath.Plane{
+				fu.UpscaleInto(dirtyPlane(c.outW, c.outH), lr),
+				fu.UpscaleInto(dirtyPlane(c.outW, c.outH), lr),
+			}
+			restore()
+			for pass, g := range got {
 				for i := range want.Pix {
-					if got.Pix[i] != want.Pix[i] {
-						t.Fatalf("%dx%d boost %v workers=%d: pixel %d is %v, byte path %v",
-							sz.w, sz.h, boost, workers, i, got.Pix[i], want.Pix[i])
+					if g.Pix[i] != want.Pix[i] {
+						t.Fatalf("%dx%d → %dx%d workers=%d pass %d: pixel %d is %v, byte path %v",
+							c.lrW, c.lrH, c.outW, c.outH, workers, pass, i, g.Pix[i], want.Pix[i])
 					}
 				}
-				vmath.Put(got)
 			}
 		}
 	}

@@ -43,9 +43,6 @@ type Config struct {
 	// TemporalWeight scales how strongly the warped previous HR output is
 	// fused in (default 0.45).
 	TemporalWeight float32
-	// DetailBoost overrides the per-resolution sharpening strength when
-	// non-zero; by default it is derived from the upscale factor.
-	DetailBoost float32
 }
 
 func (c Config) withDefaults() Config {
@@ -92,9 +89,6 @@ func (s *SuperResolver) Reset() {
 // inputs get stronger detail synthesis, as in the paper where lower rungs
 // show larger SR gains.
 func (s *SuperResolver) detailBoost(lrW int) float32 {
-	if s.cfg.DetailBoost != 0 {
-		return s.cfg.DetailBoost
-	}
 	factor := float32(s.cfg.OutW) / float32(lrW)
 	b := 0.08 * (factor - 1)
 	if b > 0.35 {

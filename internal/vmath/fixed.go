@@ -5,18 +5,15 @@ package vmath
 // semantics; the kernels here trade float arithmetic for integer lanes
 // packed in uint64 words (SIMD-within-a-register, the same idiom as the
 // codec's byte-plane SAD) so the recover/SR chain can stay in uint8/int16
-// end to end. Each kernel documents its error bound against the float
-// reference and is differential-tested against it (fixed_test.go):
-//
-//   - ResizeBilinearBytesInto — ≤1 LSB (Q15 weights vs float32 weights);
-//   - SharpenBytesInto — ≤1 LSB (exact binomial blur, one final rounding).
+// end to end. ResizeBilinearBytesInto documents its error bound against
+// the float reference (≤1 LSB: Q15 weights vs float32 weights) and is
+// differential-tested against it (fixed_test.go).
 //
 // All destinations are written in full, so they may come dirty from the
 // BytePool; intermediates are pooled. Like the float kernels, everything
 // parallelises over row bands with pool-size-independent results.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -114,8 +111,8 @@ func ResizeBilinearBytesInto(dst, src *BytePlane) *BytePlane {
 		return dst
 	}
 	if is2x(dst, src) {
-		buf := GetBytes(up2xBands(src.H)*up2xBandBytes(src.W, false, false), 1)
-		upscale2x(up2xIO{srcB: src, dstB: dst, w: src.W, h: src.H}, 0, buf.Pix)
+		buf := GetBytes(up2xBands(src.H)*up2xBandBytes(src.W, false), 1)
+		upscale2x(up2xIO{srcB: src, dstB: dst, w: src.W, h: src.H}, buf.Pix)
 		PutBytes(buf)
 		return dst
 	}
@@ -152,81 +149,6 @@ func resizeBilinearBytesGeneric(dst, src *BytePlane) *BytePlane {
 			}
 		}
 	})
-	return dst
-}
-
-// SharpenBytesInto applies a binomial unsharp mask to src in integer
-// arithmetic: dst = clamp(src + amount·(src − blur(src))), where blur is
-// the separable [1 2 1]/4 kernel and amount is the Q8 fraction a256/256.
-// The blur is computed exactly (Q4 integer, no intermediate rounding —
-// the horizontal Q2 sums live in a pooled 2W-wide byte plane as uint16
-// pairs), so the only rounding is the final Q12→byte shift: ≤1 LSB vs the
-// float composite. dst MAY alias src. a256 ≤ 0 copies src.
-func SharpenBytesInto(dst, src *BytePlane, a256 int32) *BytePlane {
-	if dst.W != src.W || dst.H != src.H {
-		panic(fmt.Sprintf("vmath: dst size %dx%d != %dx%d", dst.W, dst.H, src.W, src.H))
-	}
-	w, h := src.W, src.H
-	if w == 0 || h == 0 {
-		return dst
-	}
-	if a256 <= 0 {
-		if dst != src {
-			copy(dst.Pix, src.Pix)
-		}
-		return dst
-	}
-	// Horizontal [1 2 1]: exact Q2 sums (≤1020) as uint16 pairs.
-	mid := GetBytes(2*w, h)
-	par.ForRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			srow := src.Pix[y*w : y*w+w]
-			mrow := mid.Pix[y*2*w : y*2*w+2*w]
-			for x := 0; x < w; x++ {
-				xm, xp := x-1, x+1
-				if xm < 0 {
-					xm = 0
-				}
-				if xp >= w {
-					xp = w - 1
-				}
-				s := uint16(srow[xm]) + 2*uint16(srow[x]) + uint16(srow[xp])
-				binary.LittleEndian.PutUint16(mrow[2*x:], s)
-			}
-		}
-	})
-	// Vertical [1 2 1] to exact Q4 blur, then the unsharp combine:
-	// out = (2¹²·src + a256·(2⁴·src − blur16) + 2¹¹) >> 12, clamped.
-	par.ForRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			ym, yp := y-1, y+1
-			if ym < 0 {
-				ym = 0
-			}
-			if yp >= h {
-				yp = h - 1
-			}
-			srow := src.Pix[y*w : y*w+w]
-			m0 := mid.Pix[ym*2*w:]
-			m1 := mid.Pix[y*2*w:]
-			m2 := mid.Pix[yp*2*w:]
-			orow := dst.Pix[y*w : y*w+w]
-			for x := 0; x < w; x++ {
-				b16 := int32(binary.LittleEndian.Uint16(m0[2*x:])) +
-					2*int32(binary.LittleEndian.Uint16(m1[2*x:])) +
-					int32(binary.LittleEndian.Uint16(m2[2*x:]))
-				p16 := int32(srow[x]) << 4
-				v := (p16<<8 + a256*(p16-b16) + 1<<11) >> 12
-				if v < 0 {
-					v = 0
-				} else if v > 255 {
-					v = 255
-				}
-				orow[x] = uint8(v)
-			}
-		}
-	})
-	PutBytes(mid)
 	return dst
 }
 

@@ -121,38 +121,6 @@ func TestResizeBilinearBytesFlatExact(t *testing.T) {
 	}
 }
 
-// TestSharpenBytesWithinOneLSB checks the integer binomial unsharp mask
-// against the float composite (binomial blur + unsharp combine + clamp).
-func TestSharpenBytesWithinOneLSB(t *testing.T) {
-	const w, h = 67, 43
-	binomial := []float32{0.25, 0.5, 0.25}
-	for _, a256 := range []int32{32, 64, 96} {
-		amount := float32(a256) / 256
-		for pi, src := range fixedTestPlanes(w, h, 6) {
-			got := SharpenBytesInto(NewBytePlane(w, h), src, a256)
-			f := toFloat(src)
-			blur := ConvolveSeparableInto(NewPlane(w, h), f, binomial, binomial)
-			ref := NewPlane(w, h)
-			for i := range ref.Pix {
-				ref.Pix[i] = f.Pix[i] + amount*(f.Pix[i]-blur.Pix[i])
-			}
-			refB := NewBytePlane(w, h).FromPlane(ref.Clamp255())
-			if d := maxAbsDiffBytes(t, got, refB); d > 1 {
-				t.Errorf("a256=%d plane %d: sharpen off by %d LSB (want ≤1)", a256, pi, d)
-			}
-		}
-	}
-}
-
-// TestSharpenBytesZeroAmountCopies: a256 ≤ 0 must copy src bit-exactly.
-func TestSharpenBytesZeroAmountCopies(t *testing.T) {
-	src := fixedTestPlanes(21, 17, 7)[0]
-	got := SharpenBytesInto(NewBytePlane(21, 17), src, 0)
-	if d := maxAbsDiffBytes(t, got, src); d != 0 {
-		t.Fatalf("zero-amount sharpen modified pixels (max diff %d)", d)
-	}
-}
-
 // TestSAD8MatchesScalar cross-checks the SWAR byte SAD against a scalar
 // loop over random words.
 func TestSAD8MatchesScalar(t *testing.T) {
@@ -216,19 +184,5 @@ func BenchmarkResizeBilinearBytes1080p(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ResizeBilinearBytesInto(dst, src)
-	}
-}
-
-func BenchmarkSharpenBytes540p(b *testing.B) {
-	src := NewBytePlane(960, 540)
-	rng := rand.New(rand.NewSource(12))
-	for i := range src.Pix {
-		src.Pix[i] = uint8(rng.Intn(256))
-	}
-	dst := NewBytePlane(960, 540)
-	b.SetBytes(int64(len(src.Pix)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SharpenBytesInto(dst, src, 64)
 	}
 }

@@ -20,23 +20,16 @@ package vmath
 // four uint16 lanes per uint64: 3·1020 + 1020 + 8 = 4088 < 2¹⁶, so no
 // lane ever carries into its neighbour.
 //
-// The fused form also runs SharpenBytesInto's unsharp mask on the way in:
-// each sharpened LR row is built from a rolling window of three horizontal
-// [1 2 1] rows and lifted at once, with the same integer arithmetic as
-// SharpenBytesInto, so the composite is bit-identical to
-// SharpenBytesInto followed by ResizeBilinearBytesInto without the LR
-// sharpened plane or the sharpen's pooled intermediate.
-//
 // Work runs in bands of up2xBand LR rows, each with its own halo rows and
 // its own slice of the scratch, so every band is a pure function of src
 // and the output is the same for any pool size.
 //
 // The kernel's ends are byte planes or float planes. From a float plane
-// each LR row is quantised with PixelByte into band scratch as the band
-// first needs it, and each pair of output rows is blended into band
-// scratch and widened to float32 while it is still in L1: the result is
-// bit-identical to FromPlane, the byte kernel and ToPlane, without either
-// whole-frame conversion outside the banded pass.
+// each LR row is quantised with PixelByte into band scratch just before it
+// is lifted, and each pair of output rows is blended into band scratch and
+// widened to float32 while it is still in L1: the result is bit-identical
+// to FromPlane, the byte kernel and ToPlane, without either whole-frame
+// conversion outside the banded pass.
 
 import (
 	"encoding/binary"
@@ -57,17 +50,12 @@ const up2xBand = 16
 // one shift and one or.
 func up2xGroups(w int) int { return (w + 3) / 4 }
 
-// up2xBandBytes is one band's scratch: three lifted rows and, when
-// sharpening, three horizontal [1 2 1] rows (one four-lane word per group)
-// plus one sharpened LR row; with float ends, three quantised LR rows and
-// one pair of output rows on top.
-func up2xBandBytes(w int, sharpen, float bool) int {
+// up2xBandBytes is one band's scratch: three lifted rows and, with float
+// ends, one quantised LR row and one pair of output rows on top.
+func up2xBandBytes(w int, float bool) int {
 	n := 3 * 16 * up2xGroups(w)
-	if sharpen {
-		n += 3*8*up2xGroups(w) + w
-	}
 	if float {
-		n += 3*w + 4*w
+		n += w + 4*w
 	}
 	return n
 }
@@ -88,79 +76,51 @@ type up2xIO struct {
 	w, h       int // LR geometry
 }
 
-// SharpenUpscale2xBytesInto writes the exact 2× bilinear upscale of
-// SharpenBytesInto(src, a256) into dst, which must be exactly 2·src.W ×
-// 2·src.H and must not alias src. The result is bit-identical to the
-// two-kernel composite; a256 ≤ 0 is the plain resize. scratch is the
-// caller's row cache: it is grown when too small and returned, so a
-// caller that keeps the returned slice runs allocation-free at a fixed
-// geometry.
-func SharpenUpscale2xBytesInto(dst, src *BytePlane, a256 int32, scratch []byte) []byte {
-	if !is2x(dst, src) {
-		panic(fmt.Sprintf("vmath: dst %dx%d is not 2× src %dx%d", dst.W, dst.H, src.W, src.H))
-	}
-	return sharpenUpscale2x(up2xIO{srcB: src, dstB: dst, w: src.W, h: src.H}, a256, scratch)
-}
-
-// SharpenUpscale2xInto is SharpenUpscale2xBytesInto between float planes:
-// dst is bit-identical to ToPlane of the byte kernel's output on
-// FromPlane(src), with the conversions done row by row inside the banded
-// pass. dst must be exactly 2·src.W × 2·src.H and must not alias src;
-// scratch is grown and returned as for the byte form.
-func SharpenUpscale2xInto(dst, src *Plane, a256 int32, scratch []byte) []byte {
+// Upscale2xInto writes the exact 2× bilinear upscale of src into dst
+// between float planes: dst is bit-identical to ToPlane of
+// ResizeBilinearBytesInto's output on FromPlane(src), with the conversions
+// done row by row inside the banded pass. dst must be exactly 2·src.W ×
+// 2·src.H and must not alias src. scratch is the caller's row cache: it is
+// grown when too small and returned, so a caller that keeps the returned
+// slice runs allocation-free at a fixed geometry.
+func Upscale2xInto(dst, src *Plane, scratch []byte) []byte {
 	if dst.W != 2*src.W || dst.H != 2*src.H {
 		panic(fmt.Sprintf("vmath: dst %dx%d is not 2× src %dx%d", dst.W, dst.H, src.W, src.H))
 	}
-	return sharpenUpscale2x(up2xIO{srcF: src, dstF: dst, w: src.W, h: src.H}, a256, scratch)
-}
-
-func sharpenUpscale2x(io up2xIO, a256 int32, scratch []byte) []byte {
-	if io.w == 0 || io.h == 0 {
+	if src.W == 0 || src.H == 0 {
 		return scratch
 	}
-	if n := up2xBands(io.h) * up2xBandBytes(io.w, a256 > 0, io.srcF != nil); cap(scratch) < n {
+	if n := up2xBands(src.H) * up2xBandBytes(src.W, true); cap(scratch) < n {
 		scratch = make([]byte, n)
 	}
-	upscale2x(io, a256, scratch)
+	upscale2x(up2xIO{srcF: src, dstF: dst, w: src.W, h: src.H}, scratch)
 	return scratch
 }
 
 // upscale2x runs the banded kernel; scratch must hold up2xBands(io.h)
 // band scratches. Every scratch byte is written before it is read.
-func upscale2x(io up2xIO, a256 int32, scratch []byte) {
+func upscale2x(io up2xIO, scratch []byte) {
 	w, h := io.w, io.h
 	lb := 16 * up2xGroups(w)
-	per := up2xBandBytes(w, a256 > 0, io.srcF != nil)
+	per := up2xBandBytes(w, io.srcF != nil)
 	par.For(up2xBands(h), func(b int) {
 		buf := scratch[b*per : (b+1)*per]
-		rows := up2xRows{io: io, a256: a256, y: -1}
-		rest := buf[3*lb:]
-		if a256 > 0 {
-			sb := 8 * up2xGroups(w)
-			for i := range rows.h {
-				rows.h[i] = rest[i*sb : (i+1)*sb]
-			}
-			rows.sharp = rest[3*sb : 3*sb+w]
-			rest = rest[3*sb+w:]
-		}
-		// out0, out1 receive each pair of output rows: dst's own rows, or
-		// scratch rows widened into dstF after the blend.
-		var out0, out1 []byte
+		// q receives each quantised float LR row; out0, out1 receive each
+		// pair of output rows: dst's own rows, or scratch rows widened
+		// into dstF after the blend.
+		var q, out0, out1 []byte
 		if io.srcF != nil {
-			for i := range rows.q {
-				rows.q[i] = rest[i*w : (i+1)*w]
-				rows.qy[i] = -1
-			}
-			out0, out1 = rest[3*w:5*w], rest[5*w:7*w]
+			rest := buf[3*lb:]
+			q, out0, out1 = rest[:w], rest[w:3*w], rest[3*w:5*w]
 		}
 		k0 := b * up2xBand
 		k1 := min(k0+up2xBand, h)
 		// up, mid, down hold the lifted rows k−1, k, k+1 (border-clamped).
 		up, mid, down := buf[:lb], buf[lb:2*lb], buf[2*lb:3*lb]
-		lift2x(up, rows.row(max(k0-1, 0)))
-		lift2x(mid, rows.row(k0))
+		lift2x(up, up2xRow(io, q, max(k0-1, 0)))
+		lift2x(mid, up2xRow(io, q, k0))
 		for k := k0; k < k1; k++ {
-			lift2x(down, rows.row(min(k+1, h-1)))
+			lift2x(down, up2xRow(io, q, min(k+1, h-1)))
 			r0, r1 := 2*k*2*w, (2*k+1)*2*w
 			if io.dstB != nil {
 				out0, out1 = io.dstB.Pix[r0:r0+2*w], io.dstB.Pix[r1:r1+2*w]
@@ -175,58 +135,17 @@ func upscale2x(io up2xIO, a256 int32, scratch []byte) {
 	})
 }
 
-// up2xRows serves a band's LR rows, each call asking for the row of the
-// previous call or the one after it: source rows as they are, or — when
-// a256 > 0 — sharpened exactly as SharpenBytesInto would, from a rolling
-// window of horizontal [1 2 1] rows.
-type up2xRows struct {
-	io    up2xIO
-	a256  int32
-	h     [3][]byte // [1 2 1] row sums of rows y−1, y, y+1 (clamped)
-	sharp []byte    // sharpened row y
-	y     int       // row held in sharp; −1 before the first
-	q     [3][]byte // float source: quantised LR rows, row r in q[r%3]
-	qy    [3]int    // the row each q holds; −1 when none
-}
-
-// src returns LR row y as bytes: the byte source's own row, or the float
-// source's row quantised with PixelByte. A band only ever needs the rows
-// of a window y−1…y+1, which the three q buffers hold without eviction,
-// so each row is quantised once per band.
-func (r *up2xRows) src(y int) []byte {
-	w := r.io.w
-	if r.io.srcB != nil {
-		return r.io.srcB.Pix[y*w : y*w+w]
+// up2xRow returns LR row y as bytes: the byte source's own row, or the
+// float source's row quantised with PixelByte into q.
+func up2xRow(io up2xIO, q []byte, y int) []byte {
+	w := io.w
+	if io.srcB != nil {
+		return io.srcB.Pix[y*w : y*w+w]
 	}
-	q := r.q[y%3]
-	if r.qy[y%3] != y {
-		for x, v := range r.io.srcF.Pix[y*w : y*w+w] {
-			q[x] = PixelByte(v)
-		}
-		r.qy[y%3] = y
+	for x, v := range io.srcF.Pix[y*w : y*w+w] {
+		q[x] = PixelByte(v)
 	}
 	return q
-}
-
-func (r *up2xRows) row(y int) []byte {
-	h := r.io.h
-	srow := r.src(y)
-	if r.a256 <= 0 {
-		return srow
-	}
-	if y == r.y {
-		return r.sharp
-	}
-	if r.y < 0 {
-		hsum121(r.h[0], r.src(max(y-1, 0)))
-		hsum121(r.h[1], srow)
-	} else {
-		r.h[0], r.h[1], r.h[2] = r.h[1], r.h[2], r.h[0]
-	}
-	hsum121(r.h[2], r.src(min(y+1, h-1)))
-	r.y = y
-	unsharpRow(r.sharp, srow, r.h[0], r.h[1], r.h[2], r.a256)
-	return r.sharp
 }
 
 // widenRow writes the bytes of s into dst as float32 pixels.
@@ -264,21 +183,6 @@ func quadEdge(s []byte, x int) (l, c, r uint64) {
 // and the rest quadEdge.
 func quadEnd(w int) int { return max((w-1)/4, 1) }
 
-// hsum121 writes the horizontal [1 2 1] sums (≤ 1020, replicate padding)
-// of s into dst, one four-lane word per group.
-func hsum121(dst, s []byte) {
-	end := quadEnd(len(s))
-	for g := 0; g < up2xGroups(len(s)); g++ {
-		var l, c, r uint64
-		if g == 0 || g >= end {
-			l, c, r = quadEdge(s, 4*g)
-		} else {
-			l, c, r = quad(s, 4*g)
-		}
-		binary.LittleEndian.PutUint64(dst[8*g:], l+2*c+r)
-	}
-}
-
 // lift2x writes the horizontal 2× lift of LR row s into dst in the
 // even/odd group layout: 3·s[x] + s[x−1], then 3·s[x] + s[x+1].
 func lift2x(dst, s []byte) {
@@ -293,41 +197,6 @@ func lift2x(dst, s []byte) {
 		binary.LittleEndian.PutUint64(dst[16*g:], 3*c+l)
 		binary.LittleEndian.PutUint64(dst[16*g+8:], 3*c+r)
 	}
-}
-
-// unsharpRow is SharpenBytesInto's combine for one row: the exact Q4
-// binomial blur from three [1 2 1] rows (≤ 4080, summed four lanes at a
-// time), then (2¹²·src + a256·(2⁴·src − blur16) + 2¹¹) >> 12, clamped.
-func unsharpRow(dst, s, hm, h0, hp []byte, a256 int32) {
-	w := len(s)
-	for g := 0; 4*g < w; g++ {
-		b := binary.LittleEndian.Uint64(hm[8*g:]) + 2*binary.LittleEndian.Uint64(h0[8*g:]) +
-			binary.LittleEndian.Uint64(hp[8*g:])
-		if 4*g+4 <= w {
-			sg := s[4*g : 4*g+4]
-			binary.LittleEndian.PutUint32(dst[4*g:], uint32(unsharp1(sg[0], b, a256))|
-				uint32(unsharp1(sg[1], b>>16, a256))<<8|
-				uint32(unsharp1(sg[2], b>>32, a256))<<16|
-				uint32(unsharp1(sg[3], b>>48, a256))<<24)
-			continue
-		}
-		for x := 4 * g; x < w; x++ { // the row's partial last group
-			dst[x] = unsharp1(s[x], b>>(16*(x-4*g)), a256)
-		}
-	}
-}
-
-// unsharp1 combines one pixel p with its Q4 blur, the low 16 bits of b16.
-func unsharp1(p uint8, b16 uint64, a256 int32) uint8 {
-	p16 := int32(p) << 4
-	v := (p16<<8 + a256*(p16-int32(uint16(b16))) + 1<<11) >> 12
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
 }
 
 // blend2x writes the two output rows an LR row feeds: out0 from the lifted
