@@ -95,19 +95,53 @@ func (f *Field) Resample(w, h int) *Field {
 // integer. Integer flow makes backward warping an exact pixel copy, which
 // prevents the progressive blur that repeated bilinear resampling inflicts
 // on recursively recovered frames (generation loss).
+//
+// A component snaps when |v − round(v)| < thresh. The test compares the
+// bit patterns of the two non-negative floats as integers (they order like
+// the floats, and a NaN pattern sorts above every threshold), so the loop
+// selects without a data-dependent branch.
 func (f *Field) SnapIntegers(thresh float32) *Field {
+	if !(thresh > 0) {
+		return f // nothing lies strictly within a non-positive or NaN distance
+	}
+	tb := int32(math.Float32bits(thresh))
 	snap := func(v float32) float32 {
-		r := float32(math.Round(float64(v)))
-		if d := v - r; d < thresh && d > -thresh {
-			return r
-		}
-		return v
+		r := roundHalfAway(v)
+		d := int32(math.Float32bits(v-r) &^ signBit32)
+		keep := uint32((d - tb) >> 31) // all ones when |v−r| < thresh
+		vb := math.Float32bits(v)
+		return math.Float32frombits(vb ^ (vb^math.Float32bits(r))&keep)
 	}
 	for i := range f.U {
 		f.U[i] = snap(f.U[i])
 		f.V[i] = snap(f.V[i])
 	}
 	return f
+}
+
+// signBit32 is the sign bit of a float32's bit pattern.
+const signBit32 = 1 << 31
+
+// roundHalfAway is float32(math.Round(float64(v))) without math.Round,
+// which has no intrinsic on amd64, and without a float64 round trip. Below
+// 2²³ the int32 conversion truncates |v| exactly and the fraction |v| − k
+// is exact, so adding one when the fraction is at least ½ rounds half away
+// from zero; at and above 2²³ every float32 is an integer already, and the
+// comparison also passes ±Inf and NaN through. The sign bit is restored
+// last, so −0 and negatives that round to zero come back as −0, like
+// math.Round.
+func roundHalfAway(v float32) float32 {
+	vb := math.Float32bits(v)
+	a := math.Float32frombits(vb &^ signBit32)
+	if a < 1<<23 {
+		k := int32(a)
+		frac := a - float32(k)
+		// 0x3effffff is the float just below ½: the subtraction borrows
+		// into the top bit exactly when frac ≥ ½.
+		k += int32((0x3effffff - math.Float32bits(frac)) >> 31)
+		a = float32(k)
+	}
+	return math.Float32frombits(math.Float32bits(a) | vb&signBit32)
 }
 
 // Options configures Estimate.

@@ -172,3 +172,58 @@ func BenchmarkEstimate128x64(b *testing.B) {
 		Estimate(prev, cur, Options{})
 	}
 }
+
+// snapRef is SnapIntegers' reference formulation on one component, with
+// math.Round.
+func snapRef(v, thresh float32) float32 {
+	r := float32(math.Round(float64(v)))
+	if d := v - r; d < thresh && d > -thresh {
+		return r
+	}
+	return v
+}
+
+// TestSnapIntegersMatchesRoundRef holds SnapIntegers to the math.Round
+// formulation bit for bit: signed zeros, ties and near-ties either side of
+// every sign, the 2²³ boundary where every float32 is an integer, values
+// past 2²⁴, infinities and NaN, at thresholds including zero, negative and
+// NaN ones. A strided sweep over every float32 bit pattern then checks the
+// rounding alone.
+func TestSnapIntegersMatchesRoundRef(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	vals := []float32{0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		1 << 23, -(1 << 23), 1<<23 - 0.5, -(1<<23 - 0.5), 1<<24 + 1, -(1<<24 + 1), 1<<22 + 0.5,
+		0.49999997, -0.49999997, 1e-40, -1e-40}
+	for _, k := range []float32{0, 1, 2, 7, 100, 4095} {
+		for _, f := range []float32{0.5, 0.35, 0.3499999, 0.3500001, 0.65} {
+			vals = append(vals, k+f, k-f, -k+f, -k-f)
+		}
+	}
+	for _, thresh := range []float32{0.35, 0.5, 0.1, 0, -1, float32(math.NaN()), float32(math.Inf(1))} {
+		f := NewField(len(vals), 1)
+		copy(f.U, vals)
+		for i := range f.V {
+			f.V[i] = vals[len(vals)-1-i]
+		}
+		f.SnapIntegers(thresh)
+		for i, v := range vals {
+			for _, c := range []struct {
+				name    string
+				in, got float32
+			}{{"U", v, f.U[i]}, {"V", vals[len(vals)-1-i], f.V[i]}} {
+				want := snapRef(c.in, thresh)
+				if math.Float32bits(c.got) != math.Float32bits(want) {
+					t.Errorf("thresh %v: %s snap(%v) = %v (%#x), want %v (%#x)",
+						thresh, c.name, c.in, c.got, math.Float32bits(c.got), want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+	for b := uint64(0); b < 1<<32; b += 4093 {
+		v := math.Float32frombits(uint32(b))
+		want := float32(math.Round(float64(v)))
+		if got := roundHalfAway(v); math.Float32bits(got) != math.Float32bits(want) && v == v {
+			t.Fatalf("roundHalfAway(%v) = %v, want %v", v, got, want)
+		}
+	}
+}

@@ -25,10 +25,7 @@ func (r *Recoverer) prepPrevWork(prev *vmath.Plane) {
 		r.prevWork = vmath.ResizeBilinearInto(vmath.Get(cfg.WorkW, cfg.WorkH), prev)
 		return
 	}
-	prevB := vmath.GetBytes(prev.W, prev.H).FromPlane(prev)
-	r.prevWorkB = vmath.GetBytes(cfg.WorkW, cfg.WorkH)
-	vmath.ResizeBilinearBytesInto(r.prevWorkB, prevB)
-	vmath.PutBytes(prevB)
+	r.prevWorkB = vmath.ResizeBilinearToBytesInto(vmath.GetBytes(cfg.WorkW, cfg.WorkH), prev)
 }
 
 // baseFlow estimates work-resolution flow I_{t-2} → I_{t-1}, or returns
@@ -57,10 +54,7 @@ func (r *Recoverer) baseFlow(in Input) *flow.Field {
 	if cfg.WorkH >= 200 {
 		fw, fh = cfg.WorkW/2, cfg.WorkH/2
 	}
-	ppB := vmath.GetBytes(in.PrevPrev.W, in.PrevPrev.H).FromPlane(in.PrevPrev)
-	ppFlowB := vmath.GetBytes(fw, fh)
-	vmath.ResizeBilinearBytesInto(ppFlowB, ppB)
-	vmath.PutBytes(ppB)
+	ppFlowB := vmath.ResizeBilinearToBytesInto(vmath.GetBytes(fw, fh), in.PrevPrev)
 	prevFlowB := r.prevWorkB
 	if fw != cfg.WorkW || fh != cfg.WorkH {
 		prevFlowB = vmath.GetBytes(fw, fh)

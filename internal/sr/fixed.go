@@ -44,8 +44,9 @@ func (s *FastUpscaler) Reset() {
 // planes itself, quantising each LR row and widening each output row pair
 // inside its banded pass, on a row cache the head owns and sizes on the
 // first call: no byte plane, no whole-frame conversion and no pool
-// traffic. Other ratios shadow lr into a pooled byte plane, resize and
-// convert back.
+// traffic. Other ratios resize lr into a pooled byte plane
+// (vmath.ResizeBilinearToBytesInto, which rounds each tap as it reads it)
+// and convert back.
 func (s *FastUpscaler) UpscaleInto(dst, lr *vmath.Plane) *vmath.Plane {
 	defer telemetry.Start(telemetry.StageSR).Stop()
 	if dst.W != s.cfg.OutW || dst.H != s.cfg.OutH {
@@ -55,10 +56,8 @@ func (s *FastUpscaler) UpscaleInto(dst, lr *vmath.Plane) *vmath.Plane {
 		s.scratch = vmath.Upscale2xInto(dst, lr, s.scratch)
 		return dst
 	}
-	lrB := vmath.GetBytes(lr.W, lr.H).FromPlane(lr)
 	outB := vmath.GetBytes(s.cfg.OutW, s.cfg.OutH)
-	vmath.ResizeBilinearBytesInto(outB, lrB).ToPlane(dst)
-	vmath.PutBytes(lrB)
+	vmath.ResizeBilinearToBytesInto(outB, lr).ToPlane(dst)
 	vmath.PutBytes(outB)
 	return dst
 }

@@ -15,38 +15,78 @@ import (
 // intermediate before dst is written. Both passes parallelise over row
 // bands; the vertical pass reads the fully written horizontal
 // intermediate, which the pool's completion barrier guarantees.
+//
+// Only outputs whose taps reach past the border read through AtClamp;
+// interior outputs read the row slices directly. Every output sums its
+// taps in the same order either way, so the two paths agree bit for bit.
 func ConvolveSeparableInto(dst, p *Plane, kx, ky []float32) *Plane {
 	if len(kx)%2 == 0 || len(ky)%2 == 0 {
 		panic("vmath: ConvolveSeparable needs odd tap vectors")
 	}
 	dst = ensure(dst, p.W, p.H)
+	w, h := p.W, p.H
 	rx := len(kx) / 2
-	tmp := Get(p.W, p.H)
-	par.ForRows(p.H, func(y0, y1 int) {
+	// Columns [x0, x1) have every horizontal tap inside the row.
+	x0, x1 := interiorSpan(w, rx)
+	tmp := Get(w, h)
+	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			for x := 0; x < p.W; x++ {
+			row := p.Pix[y*w : y*w+w]
+			out := tmp.Pix[y*w : y*w+w]
+			for x := range out {
 				var s float32
-				for i, w := range kx {
-					s += w * p.AtClamp(x+i-rx, y)
+				if x < x0 || x >= x1 {
+					for i, wt := range kx {
+						s += wt * p.AtClamp(x+i-rx, y)
+					}
+				} else {
+					win := row[x-rx : x-rx+len(kx)]
+					for i, wt := range kx {
+						s += wt * win[i]
+					}
 				}
-				tmp.Pix[y*p.W+x] = s
+				out[x] = s
 			}
 		}
 	})
 	ry := len(ky) / 2
-	par.ForRows(p.H, func(y0, y1 int) {
+	// Rows [iy0, iy1) have every vertical tap inside the plane.
+	iy0, iy1 := interiorSpan(h, ry)
+	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			for x := 0; x < p.W; x++ {
-				var s float32
-				for j, w := range ky {
-					s += w * tmp.AtClamp(x, y+j-ry)
+			out := dst.Pix[y*w : y*w+w]
+			if y < iy0 || y >= iy1 {
+				for x := range out {
+					var s float32
+					for j, wt := range ky {
+						s += wt * tmp.AtClamp(x, y+j-ry)
+					}
+					out[x] = s
 				}
-				dst.Pix[y*p.W+x] = s
+				continue
+			}
+			top := (y - ry) * w
+			for x := range out {
+				var s float32
+				for j, wt := range ky {
+					s += wt * tmp.Pix[top+j*w+x]
+				}
+				out[x] = s
 			}
 		}
 	})
 	Put(tmp)
 	return dst
+}
+
+// interiorSpan returns the range [lo, hi) of the n positions whose radius-r
+// neighbourhood lies inside [0, n); it is empty (lo == hi) when n ≤ 2r.
+func interiorSpan(n, r int) (lo, hi int) {
+	lo, hi = r, n-r
+	if hi < lo {
+		lo, hi = n, n
+	}
+	return lo, hi
 }
 
 // ConvolveSeparable applies a separable filter: first the horizontal tap
@@ -121,41 +161,63 @@ func GaussianBlur(p *Plane, sigma float64) *Plane {
 
 // GradientsInto computes both Sobel gradients of p in a single pass,
 // writing the horizontal response into gx and the vertical into gy (both
-// sized like p). Neither destination may alias p.
+// sized like p). Neither destination may alias p. Rows 1…H−2 read three
+// row slices directly and only the border pixels read through AtClamp;
+// both paths run the same operations in the same order.
 func GradientsInto(gx, gy, p *Plane) *Plane {
 	gx = ensure(gx, p.W, p.H)
 	gy = ensure(gy, p.W, p.H)
-	par.ForRows(p.H, func(y0, y1 int) {
+	w, h := p.W, p.H
+	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			for x := 0; x < p.W; x++ {
-				v00 := p.AtClamp(x-1, y-1)
-				v10 := p.AtClamp(x, y-1)
-				v20 := p.AtClamp(x+1, y-1)
-				v01 := p.AtClamp(x-1, y)
-				v21 := p.AtClamp(x+1, y)
-				v02 := p.AtClamp(x-1, y+1)
-				v12 := p.AtClamp(x, y+1)
-				v22 := p.AtClamp(x+1, y+1)
-				var sx float32
-				sx += -v00
-				sx += v20
-				sx += -2 * v01
-				sx += 2 * v21
-				sx += -v02
-				sx += v22
-				var sy float32
-				sy += -v00
-				sy += -2 * v10
-				sy += -v20
-				sy += v02
-				sy += 2 * v12
-				sy += v22
-				gx.Pix[y*p.W+x] = sx
-				gy.Pix[y*p.W+x] = sy
+			if y == 0 || y == h-1 || w < 3 {
+				for x := 0; x < w; x++ {
+					sobelClamp(gx, gy, p, x, y)
+				}
+				continue
 			}
+			up := p.Pix[(y-1)*w : y*w]
+			mid := p.Pix[y*w : (y+1)*w]
+			dn := p.Pix[(y+1)*w : (y+2)*w]
+			ox := gx.Pix[y*w : (y+1)*w]
+			oy := gy.Pix[y*w : (y+1)*w]
+			sobelClamp(gx, gy, p, 0, y)
+			for x := 1; x < w-1; x++ {
+				v00, v10, v20 := up[x-1], up[x], up[x+1]
+				v01, v21 := mid[x-1], mid[x+1]
+				v02, v12, v22 := dn[x-1], dn[x], dn[x+1]
+				ox[x], oy[x] = sobel(v00, v10, v20, v01, v21, v02, v12, v22)
+			}
+			sobelClamp(gx, gy, p, w-1, y)
 		}
 	})
 	return gx
+}
+
+// sobelClamp writes the Sobel responses at (x, y) with replicate padding.
+func sobelClamp(gx, gy, p *Plane, x, y int) {
+	gx.Pix[y*p.W+x], gy.Pix[y*p.W+x] = sobel(
+		p.AtClamp(x-1, y-1), p.AtClamp(x, y-1), p.AtClamp(x+1, y-1),
+		p.AtClamp(x-1, y), p.AtClamp(x+1, y),
+		p.AtClamp(x-1, y+1), p.AtClamp(x, y+1), p.AtClamp(x+1, y+1))
+}
+
+// sobel combines the eight neighbours of a pixel (row by row, the centre
+// left out) into the horizontal and vertical Sobel responses.
+func sobel(v00, v10, v20, v01, v21, v02, v12, v22 float32) (sx, sy float32) {
+	sx += -v00
+	sx += v20
+	sx += -2 * v01
+	sx += 2 * v21
+	sx += -v02
+	sx += v22
+	sy += -v00
+	sy += -2 * v10
+	sy += -v20
+	sy += v02
+	sy += 2 * v12
+	sy += v22
+	return sx, sy
 }
 
 // GradientMagnitudeInto computes sqrt(gx²+gy²) of the Sobel gradients of p

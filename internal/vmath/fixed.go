@@ -126,26 +126,64 @@ func resizeBilinearBytesGeneric(dst, src *BytePlane) *BytePlane {
 	w, h := dst.W, dst.H
 	xt := bilinearTapsFor(src.W, w)
 	yt := bilinearTapsFor(src.H, h)
-	const one = 1 << fixedWeightShift
 	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			t := yt[y]
 			row0 := src.Pix[int(t.i0)*src.W:]
 			row1 := src.Pix[int(t.i1)*src.W:]
-			wy := uint64(t.w)
-			iwy := uint64(one) - wy
 			out := dst.Pix[y*w : y*w+w]
 			for x := 0; x < w; x++ {
 				tx := xt[x]
-				// Lane 0: row0 (top), lane 1: row1 (bottom).
-				a := uint64(row0[tx.i0]) | uint64(row1[tx.i0])<<32
-				b := uint64(row0[tx.i1]) | uint64(row1[tx.i1])<<32
-				// One multiply-add lerps both rows horizontally (Q15 lanes).
-				hq := a*(uint64(one)-uint64(tx.w)) + b*uint64(tx.w)
-				top := hq & 0xffffffff
-				bot := hq >> 32
-				// Vertical lerp to Q30, round to nearest.
-				out[x] = uint8((top*iwy + bot*wy + 1<<29) >> 30)
+				out[x] = bilerpQ15(row0[tx.i0], row1[tx.i0], row0[tx.i1], row1[tx.i1], tx.w, t.w)
+			}
+		}
+	})
+	return dst
+}
+
+// bilerpQ15 is one output pixel of the tap-table kernel: top-left a0,
+// bottom-left a1, top-right b0 and bottom-right b1 lerped by the Q15
+// weights wx (of the right column) and wy (of the bottom row).
+func bilerpQ15(a0, a1, b0, b1 uint8, wx, wy uint32) uint8 {
+	const one = 1 << fixedWeightShift
+	// Lane 0: top row, lane 1: bottom row.
+	a := uint64(a0) | uint64(a1)<<32
+	b := uint64(b0) | uint64(b1)<<32
+	// One multiply-add lerps both rows horizontally (Q15 lanes).
+	hq := a*(uint64(one)-uint64(wx)) + b*uint64(wx)
+	top := hq & 0xffffffff
+	bot := hq >> 32
+	// Vertical lerp to Q30, round to nearest.
+	return uint8((top*(uint64(one)-uint64(wy)) + bot*uint64(wy) + 1<<29) >> 30)
+}
+
+// ResizeBilinearToBytesInto resamples the float plane src into the byte
+// plane dst. The result is bit-identical to ResizeBilinearBytesInto on
+// the PixelByte shadow of src, but outside exact 2× it rounds only the
+// source pixels a tap reads, as it reads them: a 4:1 downscale rounds a
+// quarter of the source and writes no shadow plane. Exact-2× upscales
+// (and empty planes) go through a pooled shadow and
+// ResizeBilinearBytesInto. dst must not alias src.
+func ResizeBilinearToBytesInto(dst *BytePlane, src *Plane) *BytePlane {
+	w, h := dst.W, dst.H
+	if w*h == 0 || src.W*src.H == 0 || w == 2*src.W && h == 2*src.H {
+		srcB := GetBytes(src.W, src.H).FromPlane(src)
+		ResizeBilinearBytesInto(dst, srcB)
+		PutBytes(srcB)
+		return dst
+	}
+	xt := bilinearTapsFor(src.W, w)
+	yt := bilinearTapsFor(src.H, h)
+	par.ForRows(h, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			t := yt[y]
+			row0 := src.Pix[int(t.i0)*src.W:]
+			row1 := src.Pix[int(t.i1)*src.W:]
+			out := dst.Pix[y*w : y*w+w]
+			for x := 0; x < w; x++ {
+				tx := xt[x]
+				out[x] = bilerpQ15(PixelByte(row0[tx.i0]), PixelByte(row1[tx.i0]),
+					PixelByte(row0[tx.i1]), PixelByte(row1[tx.i1]), tx.w, t.w)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package vmath
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -170,6 +171,46 @@ func TestResizeBytesPoolSizeIndependent(t *testing.T) {
 	}
 	if d := maxAbsDiffBytes(t, run(1), run(4)); d != 0 {
 		t.Errorf("resize differs across pool sizes by %d", d)
+	}
+}
+
+// TestResizeToBytesMatchesShadowResize: the float-source resize must equal
+// ResizeBilinearBytesInto on the PixelByte shadow byte for byte — at the
+// recovery path's 2:1 and 4:1 downscales, odd ratios both ways, exact 2×,
+// same size, single pixels and empty planes — on sources with pixels below
+// 0, above 255, at the rounding ties and infinite, at pool sizes 1 and 4.
+func TestResizeToBytesMatchesShadowResize(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	edge := []float32{-1e9, -3, -0.5, float32(math.Copysign(0, -1)), 0.49999997, 0.5, 127.5, 254.49998, 254.5, 255, 256, 1e9,
+		float32(math.Inf(1)), float32(math.Inf(-1))}
+	for _, g := range [][4]int{
+		{960, 540, 480, 270}, {960, 540, 240, 135}, {161, 97, 53, 31}, {97, 61, 161, 97},
+		{80, 45, 160, 90}, {33, 17, 33, 17}, {7, 5, 3, 2}, {1, 1, 5, 3}, {5, 3, 1, 1},
+		{4, 4, 0, 0}, {0, 0, 4, 4},
+	} {
+		src := NewPlane(g[0], g[1])
+		for i := range src.Pix {
+			src.Pix[i] = rng.Float32()*320 - 32
+			if rng.Intn(8) == 0 {
+				src.Pix[i] = edge[rng.Intn(len(edge))]
+			}
+		}
+		want := ResizeBilinearBytesInto(NewBytePlane(g[2], g[3]), NewBytePlane(g[0], g[1]).FromPlane(src))
+		for _, workers := range []int{1, 4} {
+			restore := par.SetWorkers(workers)
+			dst := NewBytePlane(g[2], g[3])
+			for i := range dst.Pix {
+				dst.Pix[i] = 0xa5 // every pixel must be written
+			}
+			got := ResizeBilinearToBytesInto(dst, src)
+			restore()
+			for i := range want.Pix {
+				if got.Pix[i] != want.Pix[i] {
+					t.Fatalf("%dx%d → %dx%d workers=%d: pixel %d is %d, want %d",
+						g[0], g[1], g[2], g[3], workers, i, got.Pix[i], want.Pix[i])
+				}
+			}
+		}
 	}
 }
 
