@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"nerve/internal/par"
 	"nerve/internal/video"
 	"nerve/internal/vmath"
 )
@@ -41,26 +42,31 @@ var extractGoldens = map[string]string{
 	"161x97/guide":  "f2bab1aea37d2a7c2a37ed5d61b221bc9a0457f60f25ce9ab3421e8006483ba3",
 }
 
+// TestExtractGolden checks every digest at pool sizes 1, 2 and 4.
 func TestExtractGolden(t *testing.T) {
-	for _, sz := range [][2]int{{960, 540}, {480, 270}, {161, 97}} {
-		w, h := sz[0], sz[1]
-		g := video.NewGenerator(video.Categories()[3], 4)
-		e := NewExtractor(0, 0)
-		c0 := e.Extract(g.Render(12, w, h))
-		c1 := e.Extract(g.Render(13, w, h))
-		bits := sha256.New()
-		bits.Write(c0.Bits)
-		bits.Write(c1.Bits)
-		got := map[string]string{
-			"bits":  hex.EncodeToString(bits.Sum(nil)),
-			"soft":  planeDigest(c1.SoftPlane()),
-			"guide": planeDigest(c1.EdgeGuide(w, h)),
-		}
-		for _, k := range []string{"bits", "soft", "guide"} {
-			key := fmt.Sprintf("%dx%d/%s", w, h, k)
-			if want := extractGoldens[key]; got[k] != want {
-				t.Errorf("%s: digest %s, want %s", key, got[k], want)
+	for _, workers := range []int{1, 2, 4} {
+		restore := par.SetWorkers(workers)
+		for _, sz := range [][2]int{{960, 540}, {480, 270}, {161, 97}} {
+			w, h := sz[0], sz[1]
+			g := video.NewGenerator(video.Categories()[3], 4)
+			e := NewExtractor(0, 0)
+			c0 := e.Extract(g.Render(12, w, h))
+			c1 := e.Extract(g.Render(13, w, h))
+			bits := sha256.New()
+			bits.Write(c0.Bits)
+			bits.Write(c1.Bits)
+			got := map[string]string{
+				"bits":  hex.EncodeToString(bits.Sum(nil)),
+				"soft":  planeDigest(c1.SoftPlane()),
+				"guide": planeDigest(c1.EdgeGuide(w, h)),
+			}
+			for _, k := range []string{"bits", "soft", "guide"} {
+				key := fmt.Sprintf("%dx%d/%s", w, h, k)
+				if want := extractGoldens[key]; got[k] != want {
+					t.Errorf("workers=%d %s: digest %s, want %s", workers, key, got[k], want)
+				}
 			}
 		}
+		restore()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nerve/internal/edgecode"
+	"nerve/internal/par"
 	"nerve/internal/video"
 	"nerve/internal/vmath"
 )
@@ -96,19 +97,26 @@ func recoverChainDigests(fixed bool, w, h int) map[string]string {
 	return out
 }
 
+// TestRecoverGolden checks every digest at pool sizes 1, 2 and 4: every
+// band boundary in the recovery path depends only on the frame size, so
+// the pool size may not move a bit.
 func TestRecoverGolden(t *testing.T) {
-	for _, tier := range []struct {
-		name  string
-		fixed bool
-	}{{"fixed", true}, {"float", false}} {
-		for _, sz := range [][2]int{{960, 540}, {tw, th}} {
-			got := recoverChainDigests(tier.fixed, sz[0], sz[1])
-			for _, mode := range []string{"first", "hinted", "partial", "extrapolated"} {
-				key := fmt.Sprintf("%s/%dx%d/%s", tier.name, sz[0], sz[1], mode)
-				if want := recoverGoldens[key]; got[mode] != want {
-					t.Errorf("%s: digest %s, want %s", key, got[mode], want)
+	for _, workers := range []int{1, 2, 4} {
+		restore := par.SetWorkers(workers)
+		for _, tier := range []struct {
+			name  string
+			fixed bool
+		}{{"fixed", true}, {"float", false}} {
+			for _, sz := range [][2]int{{960, 540}, {tw, th}} {
+				got := recoverChainDigests(tier.fixed, sz[0], sz[1])
+				for _, mode := range []string{"first", "hinted", "partial", "extrapolated"} {
+					key := fmt.Sprintf("%s/%dx%d/%s", tier.name, sz[0], sz[1], mode)
+					if want := recoverGoldens[key]; got[mode] != want {
+						t.Errorf("workers=%d %s: digest %s, want %s", workers, key, got[mode], want)
+					}
 				}
 			}
 		}
+		restore()
 	}
 }
