@@ -22,6 +22,13 @@ import (
 // task has finished it runs bands of open loops — the task's own loops,
 // which found the budget spent, or any other (help.go) — so the joining
 // goroutine works instead of idling. It returns only after fn has.
+//
+// The task's goroutine, once fn has returned, drains before it finishes:
+// it runs the unclaimed bands of every loop open at that moment (loops
+// that other goroutines started while it held the budget slot), and only
+// then frees the slot and signals the join. It never waits for a loop to
+// be published, and a panic in a band it runs is re-raised by that loop's
+// owner, not by join.
 func Go(fn func()) (join func()) {
 	if reserve(1) == 0 {
 		done := false
@@ -39,6 +46,7 @@ func Go(fn func()) (join func()) {
 	go func() {
 		defer func() {
 			v := recover()
+			drain()
 			// release before the signalling send, so a returned join()
 			// implies the budget slot is free again.
 			release(1)

@@ -6,14 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// Helping joins. A Go task usually runs its loops with the budget spent
-// (the task holds the spare slot), so they would run on the task's
-// goroutine alone while the goroutine that started the task blocks in
-// join. Instead, such a loop is published as an open loop, and a joiner
-// claims band indices from open loops until its task has finished,
-// sleeping while none has a band left. Which goroutine runs a band changes
-// no output: every fn handed to the pool is pure per index and writes only
-// its own slot.
+// Helping joins and draining tasks. A Go task usually runs its loops with
+// the budget spent (the task holds the spare slot), so they would run on
+// the task's goroutine alone while the goroutine that started the task
+// blocks in join. Instead, such a loop is published as an open loop, and a
+// joiner claims band indices from open loops until its task has finished,
+// sleeping while none has a band left. The same holds the other way round:
+// the caller's own loops, started while the task runs, find the budget
+// spent too, so the task's goroutine drains the open loops once fn has
+// returned (drain) before it frees the slot. Which goroutine runs a band
+// changes no output: every fn handed to the pool is pure per index and
+// writes only its own slot.
 //
 // Open loops live in a fixed table, so publishing allocates nothing; when
 // the table is full the loop simply runs unpublished. Loops are published
@@ -97,7 +100,8 @@ func (l *openLoop) retire() {
 }
 
 // work claims and runs bands of l until its cursor is exhausted or, for a
-// helper, its own task has finished (stop set). A panicking band is
+// joining helper, its own task has finished (stop set; nil for the owner
+// and for a draining task). A panicking band is
 // recorded for the owner and drains the cursor.
 func (l *openLoop) work(stop *atomic.Bool) {
 	defer func() {
@@ -133,8 +137,9 @@ func help(done *atomic.Bool) {
 	helpMu.Unlock()
 }
 
-// assist is a helper's stay in l; leaving is deferred so the owner is
-// released even if a band ends the helping goroutine (runtime.Goexit).
+// assist is a helper's stay in l (done is nil for a draining task);
+// leaving is deferred so the owner is released even if a band ends the
+// helping goroutine (runtime.Goexit).
 func (l *openLoop) assist(done *atomic.Bool) {
 	defer l.helpers.Done()
 	l.work(done)
@@ -144,12 +149,37 @@ func (l *openLoop) assist(done *atomic.Bool) {
 // caller holds helpMu.
 func unclaimed() *openLoop {
 	for k := range loops {
-		l := &loops[k]
-		if l.state == slotOpen && l.cursor.Load() < int64(l.tasks) {
+		if l := &loops[k]; l.claimable() {
 			return l
 		}
 	}
 	return nil
+}
+
+// drain runs the unclaimed bands of the loops open when it starts, one
+// pass over the table, on the calling goroutine. It never waits for a loop
+// to be published, and a loop published behind the pass is left to its
+// owner (and to joiners). A panicking band is recorded for its loop's
+// owner, as for any helper.
+func drain() {
+	helpMu.Lock()
+	for k := range loops {
+		l := &loops[k]
+		if !l.claimable() {
+			continue
+		}
+		l.helpers.Add(1)
+		helpMu.Unlock()
+		l.assist(nil)
+		helpMu.Lock()
+	}
+	helpMu.Unlock()
+}
+
+// claimable reports whether l is open with bands left to claim. The
+// caller holds helpMu.
+func (l *openLoop) claimable() bool {
+	return l.state == slotOpen && l.cursor.Load() < int64(l.tasks)
 }
 
 // finished marks a Go task done and wakes its joiner if it is waiting for

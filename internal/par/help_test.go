@@ -196,3 +196,131 @@ func TestHelpingKeepsConcurrencyBound(t *testing.T) {
 		t.Fatalf("observed %d concurrent bands, pool size is 2", p)
 	}
 }
+
+// TestFinishedTaskDrainsOpenLoop: with two workers the Go task holds the
+// only spare slot, so the caller's two-band loop is published with no
+// extra worker. The owner holds band 0 until band 1 has started, and
+// nobody joins: only the task's goroutine, draining after fn returns, can
+// run band 1.
+func TestFinishedTaskDrainsOpenLoop(t *testing.T) {
+	defer SetWorkers(2)()
+	release := make(chan struct{})
+	var fnDone, afterFn, stuck atomic.Bool
+	join := Go(func() {
+		<-release
+		fnDone.Store(true)
+	})
+	band1 := make(chan struct{})
+	For(2, func(i int) {
+		if i == 0 {
+			close(release)
+			select {
+			case <-band1:
+			case <-time.After(10 * time.Second):
+				stuck.Store(true)
+			}
+			return
+		}
+		afterFn.Store(fnDone.Load())
+		close(band1)
+	})
+	join()
+	if stuck.Load() {
+		t.Fatal("band 1 did not start within 10 s: the finished task did not drain the open loop")
+	}
+	if !afterFn.Load() {
+		t.Fatal("band 1 ran before the task's fn returned")
+	}
+	if activeGo.Load() != 0 || activeExtra.Load() != 0 {
+		t.Fatalf("activeGo = %d, activeExtra = %d after join, want 0", activeGo.Load(), activeExtra.Load())
+	}
+}
+
+// TestJoinWaitsForDrain: a join returns only once the task's goroutine
+// has left the bands it drains and given its budget slot back. The loop
+// here belongs to a third goroutine, so the joiner has nothing to help.
+func TestJoinWaitsForDrain(t *testing.T) {
+	defer SetWorkers(2)()
+	release := make(chan struct{})
+	join := Go(func() { <-release })
+	band1, letGo, owned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(owned)
+		For(2, func(i int) {
+			if i == 0 {
+				close(release)
+				select {
+				case <-band1:
+				case <-time.After(10 * time.Second):
+				}
+				return
+			}
+			close(band1)
+			<-letGo
+		})
+	}()
+	select {
+	case <-band1: // the draining task is inside band 1
+	case <-time.After(10 * time.Second):
+		t.Fatal("band 1 did not start within 10 s: the finished task did not drain the open loop")
+	}
+	joined := make(chan struct{})
+	go func() {
+		join()
+		close(joined)
+	}()
+	select {
+	case <-joined:
+		t.Fatal("join returned while the task's goroutine was still running a drained band")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if n := activeExtra.Load(); n != 1 {
+		t.Fatalf("activeExtra = %d while the task drains, want 1 (its slot)", n)
+	}
+	close(letGo)
+	<-joined
+	if n := activeExtra.Load(); n != 0 {
+		t.Fatalf("activeExtra = %d after join returned, want 0", n)
+	}
+	<-owned
+}
+
+// TestDrainedBandPanicReRaisedByOwner: a band that panics on the draining
+// task's goroutine is re-raised by the loop's owner, and join, whose task
+// did not panic, returns normally.
+func TestDrainedBandPanicReRaisedByOwner(t *testing.T) {
+	defer SetWorkers(2)()
+	release := make(chan struct{})
+	join := Go(func() { <-release })
+	band1Done := make(chan struct{})
+	var raised string
+	var stuck atomic.Bool
+	func() {
+		defer func() { raised = fmt.Sprint(recover()) }()
+		For(2, func(i int) {
+			if i == 0 {
+				close(release)
+				select {
+				case <-band1Done:
+				case <-time.After(10 * time.Second):
+					stuck.Store(true)
+				}
+				return
+			}
+			defer close(band1Done)
+			panic("drained-boom")
+		})
+	}()
+	join()
+	if stuck.Load() {
+		t.Fatal("band 1 did not run within 10 s: the finished task did not drain the open loop")
+	}
+	if !strings.Contains(raised, "drained-boom") {
+		t.Fatalf("owner raised %q, want the drained band's panic value inside", raised)
+	}
+	for k := range loops {
+		if loops[k].state != slotFree {
+			t.Fatalf("open-loop slot %d left in state %d", k, loops[k].state)
+		}
+	}
+}
