@@ -10,8 +10,8 @@ package edgecode
 import (
 	"fmt"
 	"math"
-	"sort"
 
+	"nerve/internal/par"
 	"nerve/internal/telemetry"
 	"nerve/internal/vmath"
 )
@@ -149,16 +149,16 @@ type Extractor struct {
 
 	history *vmath.Plane // He; persistent pooled plane, refreshed in place
 
-	sortScratch []float64 // percentile scratch, reused across frames
+	selScratch []float32 // percentile scratch, reused across frames
 
 	// Byte-tier state (ExtractBytes): its own He plus reusable scratch so
 	// the fixed-point path allocates nothing in steady state.
-	histBytes      []int32 // Q12 magnitudes
-	workBytes      *vmath.BytePlane
-	gradScratch    []int32 // squared gradient magnitudes
-	thinScratch    []int32
-	pooledScratch  []int32 // Q12 magnitudes at code resolution
-	intSortScratch []int
+	histBytes     []int32 // Q12 magnitudes
+	workBytes     *vmath.BytePlane
+	gradScratch   []int32 // squared gradient magnitudes
+	thinScratch   []int32
+	pooledScratch []int32 // Q12 magnitudes at code resolution
+	intSelScratch []int32
 }
 
 // NewExtractor returns an extractor producing w×h codes. Zero w/h select
@@ -192,36 +192,40 @@ func (e *Extractor) Extract(frame *vmath.Plane) *Code {
 
 	// Non-maximum thinning: keep a pixel only if it is the maximum of its
 	// 3×3 neighbourhood along the dominant gradient axis (cheap variant:
-	// max of horizontal/vertical neighbours). Only maxima are written, so
-	// the plane must start zeroed.
-	thin := vmath.GetZeroed(ww, wh)
-	for y := 0; y < wh; y++ {
-		for x := 0; x < ww; x++ {
-			g := grad.At(x, y)
-			if g >= grad.AtClamp(x-1, y) && g >= grad.AtClamp(x+1, y) ||
-				g >= grad.AtClamp(x, y-1) && g >= grad.AtClamp(x, y+1) {
+	// max of horizontal/vertical neighbours); every other pixel is 0.
+	thin := vmath.Get(ww, wh)
+	par.ForRows(wh, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			for x := 0; x < ww; x++ {
+				g := grad.At(x, y)
+				if !(g >= grad.AtClamp(x-1, y) && g >= grad.AtClamp(x+1, y) ||
+					g >= grad.AtClamp(x, y-1) && g >= grad.AtClamp(x, y+1)) {
+					g = 0
+				}
 				thin.Set(x, y, g)
 			}
 		}
-	}
+	})
 
 	// Pool 2×2 max down to code resolution (every pixel written).
 	pooled := vmath.Get(e.W, e.H)
-	for y := 0; y < e.H; y++ {
-		for x := 0; x < e.W; x++ {
-			m := thin.At(2*x, 2*y)
-			if v := thin.At(2*x+1, 2*y); v > m {
-				m = v
+	par.ForRows(e.H, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			for x := 0; x < e.W; x++ {
+				m := thin.At(2*x, 2*y)
+				if v := thin.At(2*x+1, 2*y); v > m {
+					m = v
+				}
+				if v := thin.At(2*x, 2*y+1); v > m {
+					m = v
+				}
+				if v := thin.At(2*x+1, 2*y+1); v > m {
+					m = v
+				}
+				pooled.Set(x, y, m)
 			}
-			if v := thin.At(2*x, 2*y+1); v > m {
-				m = v
-			}
-			if v := thin.At(2*x+1, 2*y+1); v > m {
-				m = v
-			}
-			pooled.Set(x, y, m)
 		}
-	}
+	})
 
 	// Temporal history He: blend with the previous gradient field so the
 	// code carries motion-stable contours. Lerp is elementwise, so dst may
@@ -256,28 +260,24 @@ func (e *Extractor) Extract(frame *vmath.Plane) *Code {
 	return code
 }
 
-// percentile sorts into a scratch buffer kept on the extractor, so the
-// per-frame cost is the sort alone.
+// percentile returns the value a sorted copy of pix would hold at index
+// int(p·(n−1)), selected in a scratch buffer kept on the extractor.
 func (e *Extractor) percentile(pix []float32, p float64) float32 {
 	if len(pix) == 0 {
 		return 0
 	}
-	if cap(e.sortScratch) < len(pix) {
-		e.sortScratch = make([]float64, len(pix))
+	if cap(e.selScratch) < len(pix) {
+		e.selScratch = make([]float32, len(pix))
 	}
-	tmp := e.sortScratch[:len(pix)]
-	for i, v := range pix {
-		tmp[i] = float64(v)
-	}
-	sort.Float64s(tmp)
-	idx := int(p * float64(len(tmp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return float32(tmp[idx])
+	tmp := e.selScratch[:len(pix)]
+	copy(tmp, pix)
+	return selectKth(tmp, rankIndex(p, len(tmp)))
+}
+
+// rankIndex is int(p·(n−1)) clamped to [0, n), the index both extractors
+// read their threshold from.
+func rankIndex(p float64, n int) int {
+	return min(max(int(p*float64(n-1)), 0), n-1)
 }
 
 // EdgeGuide upsamples the code to w×h and blurs it into a soft [0,1] edge
@@ -288,12 +288,15 @@ func (c *Code) EdgeGuide(w, h int) *vmath.Plane {
 	soft := vmath.ResizeBilinearInto(vmath.Get(w, h), cp)
 	vmath.Put(cp)
 	vmath.GaussianBlurInto(soft, soft, 1.0)
-	for i, v := range soft.Pix {
-		g := float64(v) / 255
-		if g > 1 {
-			g = 1
+	par.ForRows(h, func(y0, y1 int) {
+		pix := soft.Pix[y0*w : y1*w]
+		for i, v := range pix {
+			g := float64(v) / 255
+			if g > 1 {
+				g = 1
+			}
+			pix[i] = float32(math.Sqrt(g)) // expand faint edges
 		}
-		soft.Pix[i] = float32(math.Sqrt(g)) // expand faint edges
-	}
+	})
 	return soft
 }

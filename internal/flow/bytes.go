@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"nerve/internal/par"
 	"nerve/internal/telemetry"
 	"nerve/internal/vmath"
 )
@@ -72,48 +73,31 @@ func EstimateBytes(prev, cur *vmath.BytePlane, opts Options) *Field {
 func downsampleBytes2x2(p *vmath.BytePlane) *vmath.BytePlane {
 	w, h := p.W/2, p.H/2
 	dst := vmath.GetBytes(w, h)
-	for y := 0; y < h; y++ {
-		r0 := p.Pix[(2*y)*p.W:]
-		r1 := p.Pix[(2*y+1)*p.W:]
-		out := dst.Pix[y*w : y*w+w]
-		for x := 0; x < w; x++ {
-			s := uint32(r0[2*x]) + uint32(r0[2*x+1]) + uint32(r1[2*x]) + uint32(r1[2*x+1])
-			out[x] = uint8((s + 2) >> 2)
+	par.ForRows(h, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			r0 := p.Pix[(2*y)*p.W:]
+			r1 := p.Pix[(2*y+1)*p.W:]
+			out := dst.Pix[y*w : y*w+w]
+			for x := 0; x < w; x++ {
+				s := uint32(r0[2*x]) + uint32(r0[2*x+1]) + uint32(r1[2*x]) + uint32(r1[2*x+1])
+				out[x] = uint8((s + 2) >> 2)
+			}
 		}
-	}
+	})
 	return dst
 }
 
 // matchLevelBytes is matchLevel on byte planes: identical block grid,
-// seeding and confidence math, integer SAD inside.
+// seeding, confidence math and row banding, integer SAD inside.
 func matchLevelBytes(prev, cur *vmath.BytePlane, coarse *blockField, o Options) *blockField {
-	bw := (cur.W + o.Block - 1) / o.Block
-	bh := (cur.H + o.Block - 1) / o.Block
-	uP := vmath.Get(bw, bh)
-	vP := vmath.Get(bw, bh)
-	cP := vmath.Get(bw, bh)
-	out := &blockField{bw: bw, bh: bh, block: o.Block,
-		u: uP.Pix, v: vP.Pix, conf: cP.Pix, uP: uP, vP: vP, cP: cP}
-	for by := 0; by < bh; by++ {
-		for bx := 0; bx < bw; bx++ {
-			x0 := bx * o.Block
-			y0 := by * o.Block
-			var seedU, seedV float32
-			if coarse != nil {
-				cbx := bx * coarse.bw / bw
-				cby := by * coarse.bh / bh
-				ci := cby*coarse.bw + cbx
-				seedU = coarse.u[ci] * 2
-				seedV = coarse.v[ci] * 2
-			}
-			u, v, sad := searchBlockBytes(prev, cur, x0, y0, int(seedU), int(seedV), o)
-			i := by*bw + bx
-			out.u[i] = float32(u)
-			out.v[i] = float32(v)
-			perPix := float64(sad) / float64(o.Block*o.Block)
-			out.conf[i] = float32(1 / (1 + perPix/8))
+	out := newBlockField(cur.W, cur.H, o.Block)
+	par.For(out.bh, func(by int) {
+		for bx := 0; bx < out.bw; bx++ {
+			seedU, seedV := coarse.seed(bx, by, out)
+			u, v, sad := searchBlockBytes(prev, cur, bx*o.Block, by*o.Block, seedU, seedV, o)
+			out.set(by*out.bw+bx, u, v, sad)
 		}
-	}
+	})
 	return out
 }
 

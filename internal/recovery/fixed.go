@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"nerve/internal/flow"
+	"nerve/internal/par"
 	"nerve/internal/vmath"
 	"nerve/internal/warp"
 )
@@ -86,29 +87,33 @@ func (r *Recoverer) resizeOut(work *vmath.Plane) *vmath.Plane {
 func (r *Recoverer) finishFixed(img, valid *vmath.Plane) *vmath.Plane {
 	cfg := r.cfg
 	imgB := vmath.GetBytes(img.W, img.H).FromPlane(img)
-	if r.historyB != nil && r.historyB.W == imgB.W && r.historyB.H == imgB.H {
-		const hw = 38 // round(historyWeight · 256)
-		for i := range imgB.Pix {
-			if valid.Pix[i] < 0.5 {
-				v := int32(imgB.Pix[i])
-				h := int32(r.historyB.Pix[i])
-				imgB.Pix[i] = uint8(v + (hw*(h-v)+128)>>8)
-			}
-		}
-	}
-	// H ← EMA of recovered frames (0.6 toward the current frame, like the
-	// float tier), held as a persistent pooled byte plane.
 	if r.historyB == nil || r.historyB.W != imgB.W || r.historyB.H != imgB.H {
+		// First frame at this geometry: no blend, H starts as the frame.
 		vmath.PutBytes(r.historyB)
 		r.historyB = vmath.GetBytes(imgB.W, imgB.H)
 		copy(r.historyB.Pix, imgB.Pix)
 	} else {
-		const ema = 154 // round(0.6 · 256)
-		for i := range r.historyB.Pix {
-			h := int32(r.historyB.Pix[i])
-			v := int32(imgB.Pix[i])
-			r.historyB.Pix[i] = uint8(h + (ema*(v-h)+128)>>8)
-		}
+		// One pass per pixel: blend H in where the warp had no source,
+		// then H ← EMA of recovered frames (0.6 toward the current
+		// frame, like the float tier), held as a persistent pooled byte
+		// plane.
+		const (
+			hw  = 38  // round(historyWeight · 256)
+			ema = 154 // round(0.6 · 256)
+		)
+		hist := r.historyB.Pix
+		par.ForSpans(len(imgB.Pix), pixelSpan, func(i0, i1 int) {
+			for i := i0; i < i1; i++ {
+				h := int32(hist[i])
+				b := imgB.Pix[i]
+				if valid.Pix[i] < 0.5 {
+					v := int32(b)
+					b = uint8(v + (hw*(h-v)+128)>>8)
+					imgB.Pix[i] = b
+				}
+				hist[i] = uint8(h + (ema*(int32(b)-h)+128)>>8)
+			}
+		})
 	}
 	res := vmath.Get(cfg.OutW, cfg.OutH)
 	if cfg.OutW == imgB.W && cfg.OutH == imgB.H {

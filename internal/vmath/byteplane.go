@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"nerve/internal/par"
 	"nerve/internal/telemetry"
 )
 
@@ -59,14 +60,18 @@ func PixelByte(v float32) uint8 {
 // FromPlane refreshes p in place as the byte shadow of src (same
 // dimensions), rounding each pixel with PixelByte. It returns p for
 // chaining; this is the CopyFrom of byte shadows — persistent shadows hold
-// one pooled BytePlane and refresh it every frame.
+// one pooled BytePlane and refresh it every frame. Row bands run on the
+// pool.
 func (p *BytePlane) FromPlane(src *Plane) *BytePlane {
 	if p.W != src.W || p.H != src.H {
 		panic(fmt.Sprintf("vmath: size mismatch %dx%d vs %dx%d", p.W, p.H, src.W, src.H))
 	}
-	for i, v := range src.Pix {
-		p.Pix[i] = PixelByte(v)
-	}
+	par.ForRows(p.H, func(y0, y1 int) {
+		dst := p.Pix[y0*p.W : y1*p.W]
+		for i, v := range src.Pix[y0*p.W : y1*p.W] {
+			dst[i] = PixelByte(v)
+		}
+	})
 	return p
 }
 

@@ -192,14 +192,18 @@ func ResizeBilinearToBytesInto(dst *BytePlane, src *Plane) *BytePlane {
 
 // ToPlane writes p's bytes into dst as float32 pixels (same dimensions)
 // and returns dst — the inverse of FromPlane, used where the fixed-point
-// tier hands a byte plane back to a float consumer.
+// tier hands a byte plane back to a float consumer. Row bands run on the
+// pool.
 func (p *BytePlane) ToPlane(dst *Plane) *Plane {
 	if dst.W != p.W || dst.H != p.H {
 		panic(fmt.Sprintf("vmath: size mismatch %dx%d vs %dx%d", dst.W, dst.H, p.W, p.H))
 	}
-	for i, v := range p.Pix {
-		dst.Pix[i] = float32(v)
-	}
+	par.ForRows(p.H, func(y0, y1 int) {
+		out := dst.Pix[y0*p.W : y1*p.W]
+		for i, v := range p.Pix[y0*p.W : y1*p.W] {
+			out[i] = float32(v)
+		}
+	})
 	return dst
 }
 
