@@ -36,7 +36,11 @@ import (
 // task holds the spare slot), so par publishes them as open loops and the
 // joining caller runs bands of them until the task ends. On two workers
 // the critical path is then about ingest plus half of what is left of
-// enhance, rather than enhance alone.
+// enhance, rather than enhance alone. The other way round holds too: the
+// ingest's loops (recovery's flow search, inpaint, per-pixel passes) find
+// the budget spent while enhance runs, so they are published as well, and
+// the task's goroutine, once enhance is done, runs their unclaimed bands
+// before it frees its slot for the ingest's later loops.
 //
 // A Pipeline wraps the Client exclusively: interleaving Push with direct
 // Next calls on the same Client is a data race on the temporal state.
