@@ -55,25 +55,34 @@ func TestForZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestForRowsCoverage: ForRows bands, and ForSpans spans of any size,
+// are disjoint, cover [0, h) exactly and start at multiples of their size,
+// at every pool size.
 func TestForRowsCoverage(t *testing.T) {
-	for _, h := range []int{1, 7, 8, 9, 100, 1080} {
-		for _, w := range []int{1, 4} {
-			restore := SetWorkers(w)
-			covered := make([]int32, h)
-			ForRows(h, func(y0, y1 int) {
-				if y0 >= y1 || y0 < 0 || y1 > h {
-					t.Errorf("bad band [%d,%d) for h=%d", y0, y1, h)
+	for _, span := range []int{0, 1, 3, 4096} { // 0: ForRows
+		for _, h := range []int{1, 7, 8, 9, 100, 1080, 8193} {
+			for _, w := range []int{1, 4} {
+				restore := SetWorkers(w)
+				covered := make([]int32, h)
+				size, loop := span, func(fn func(y0, y1 int)) { ForSpans(h, span, fn) }
+				if span == 0 {
+					size, loop = forRowsGrain, func(fn func(y0, y1 int)) { ForRows(h, fn) }
 				}
-				for y := y0; y < y1; y++ {
-					atomic.AddInt32(&covered[y], 1)
+				loop(func(y0, y1 int) {
+					if y0 >= y1 || y0 < 0 || y1 > h || y0%size != 0 || (y1-y0 != size && y1 != h) {
+						t.Errorf("bad band [%d,%d) for h=%d size=%d", y0, y1, h, size)
+					}
+					for y := y0; y < y1; y++ {
+						atomic.AddInt32(&covered[y], 1)
+					}
+				})
+				for y, c := range covered {
+					if c != 1 {
+						t.Fatalf("h=%d size=%d workers=%d: row %d covered %d times", h, size, w, y, c)
+					}
 				}
-			})
-			for y, c := range covered {
-				if c != 1 {
-					t.Fatalf("h=%d workers=%d: row %d covered %d times", h, w, y, c)
-				}
+				restore()
 			}
-			restore()
 		}
 	}
 }
