@@ -343,7 +343,14 @@ func (c *Client) frameTier() (t Tier, probe bool) {
 // The returned FrameResult is complete except for Frame: the class is
 // final (including the ClassSR promotion — whether SR runs is a static
 // property of the client) and the device-time model is fully charged.
+// A side-channel code whose geometry is not the client's is an error,
+// returned before any client state moves, as a decode error is.
 func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
+	if code := in.Code; code != nil &&
+		(code.W != c.ext.W || code.H != c.ext.H || len(code.Bits) != (code.W*code.H+7)/8) {
+		return nil, nil, fmt.Errorf("core: frame %d: %dx%d code with %d bitmap bytes, want %dx%d",
+			c.frameIdx, code.W, code.H, len(code.Bits), c.ext.W, c.ext.H)
+	}
 	res := &FrameResult{Index: c.frameIdx}
 	dev := c.cfg.Device
 	c.total++
@@ -413,19 +420,10 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	c.prevOut = outTx
 	if in.Code != nil {
 		c.prevCode = in.Code
-	} else if c.prevOut != nil {
+	} else {
 		// Derive the code of the displayed frame locally so the chain
-		// can continue when the side channel skips a frame. The fixed
-		// tier extracts from a pooled byte shadow of the frame — the
-		// byte-domain pipeline (edgecode.ExtractBytes) rather than the
-		// float one, keeping the frame's kernel tier honest end to end.
-		if res.Tier == TierFixed {
-			shadow := vmath.GetBytes(c.prevOut.W, c.prevOut.H).FromPlane(c.prevOut)
-			c.prevCode = c.ext.ExtractBytes(shadow)
-			vmath.PutBytes(shadow)
-		} else {
-			c.prevCode = c.ext.Extract(c.prevOut)
-		}
+		// can continue when the side channel skips a frame.
+		c.prevCode = c.ext.Extract(c.prevOut)
 	}
 	c.frameIdx++
 	c.classes[res.Class]++

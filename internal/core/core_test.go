@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nerve/internal/edgecode"
 	"nerve/internal/metrics"
 	"nerve/internal/video"
 	"nerve/internal/vmath"
@@ -235,6 +236,48 @@ func TestConsecutiveTotalLossKeepsProducing(t *testing.T) {
 	}
 	if frac := cli.RecoveredFraction(); frac < float64(extOnly)/12-0.01 {
 		t.Fatalf("recovered fraction %.2f", frac)
+	}
+}
+
+// TestWrongCodeGeometryIsAnError: a side-channel code whose geometry is not
+// the client's, or whose bitmap does not match its geometry, fails the slot
+// with an error before any client state moves, instead of panicking inside
+// recovery; the next good slot then plays as if the bad one never came.
+func TestWrongCodeGeometryIsAnError(t *testing.T) {
+	srv := makeServer(t)
+	cli, err := NewClient(ClientConfig{W: tw, H: th, EnableRecovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := sourceFrames(2)
+	sf0, err := srv.Process(frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Next(Input{Encoded: sf0.Encoded, Code: sf0.Code}); err != nil {
+		t.Fatal(err)
+	}
+	sf1, err := srv.Process(frames[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &edgecode.Code{W: sf1.Code.W, H: sf1.Code.H, Bits: sf1.Code.Bits[:10]}
+	for _, bad := range []*edgecode.Code{edgecode.NewCode(8, 4), short} {
+		total, idx, prevCode := cli.total, cli.frameIdx, cli.prevCode
+		// A lost frame: recovery would run on the bad code.
+		if _, err := cli.Next(Input{Code: bad}); err == nil {
+			t.Fatalf("%dx%d code with %d bitmap bytes accepted", bad.W, bad.H, len(bad.Bits))
+		}
+		if cli.total != total || cli.frameIdx != idx || cli.prevCode != prevCode {
+			t.Fatalf("rejected %dx%d code moved client state", bad.W, bad.H)
+		}
+	}
+	res, err := cli.Next(Input{Encoded: sf1.Encoded, Code: sf1.Code})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Index != 1 || res.Class != ClassDecoded {
+		t.Fatalf("good slot after rejected codes: index %d class %v", res.Index, res.Class)
 	}
 }
 

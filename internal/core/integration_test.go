@@ -74,11 +74,7 @@ func TestNetworkedSession(t *testing.T) {
 					inbox[i].received[si] = true
 				})
 			}
-			payload, err := sf.Code.MarshalBinary()
-			if err != nil {
-				t.Errorf("frame %d code: %v", i, err)
-				return
-			}
+			payload := sf.Code.Compress()
 			conn.SendReliable(len(payload), func(at float64, ok bool, _ int) {
 				if ok {
 					inbox[i].code = sf.Code

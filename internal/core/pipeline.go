@@ -66,9 +66,9 @@ func (p *Pipeline) Client() *Client { return p.c }
 
 // Push feeds the next playout slot and returns the previous slot's
 // completed frame — nil (with nil error) on the very first call. On a
-// decode error the pipeline state is unchanged: the pending frame stays
-// pending and the failed slot consumed no temporal state, so the caller
-// may retry or Flush.
+// decode error or a code of the wrong geometry the pipeline state is
+// unchanged: the pending frame stays pending and the failed slot consumed
+// no temporal state, so the caller may retry or Flush.
 func (p *Pipeline) Push(in Input) (*FrameResult, error) {
 	start := time.Now()
 	res, outTx, err := p.c.stageIngest(in)

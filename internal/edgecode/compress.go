@@ -18,18 +18,21 @@ func (c *Code) Compress() []byte {
 	// Gap coding: distance from the previous set bit (first gap from -1).
 	prev := -1
 	n := c.W * c.H
-	count := 0
 	for i := 0; i < n; i++ {
 		if c.Bits[i>>3]>>(7-uint(i&7))&1 == 1 {
 			w.WriteUE(uint32(i - prev - 1))
 			prev = i
-			count++
 		}
 	}
 	// Terminator: gap past the end marks "no more bits".
 	w.WriteUE(uint32(n - prev))
 	return w.Bytes()
 }
+
+// maxCodeBits bounds the W·H a compressed header may declare, so a short
+// hostile payload cannot make Decompress allocate a huge bitmap. It is 32×
+// the largest code geometry in use (256×128).
+const maxCodeBits = 1 << 20
 
 // Decompress reconstructs a code packed by Compress.
 func Decompress(data []byte) (*Code, error) {
@@ -41,6 +44,9 @@ func Decompress(data []byte) (*Code, error) {
 	hv, err := r.ReadBits(16)
 	if err != nil {
 		return nil, fmt.Errorf("edgecode: short compressed header: %w", err)
+	}
+	if wv*hv > maxCodeBits {
+		return nil, fmt.Errorf("edgecode: compressed code is %dx%d, over %d bits", wv, hv, maxCodeBits)
 	}
 	c := NewCode(int(wv), int(hv))
 	n := c.W * c.H

@@ -8,8 +8,8 @@
 package edgecode
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 
 	"nerve/internal/par"
 	"nerve/internal/telemetry"
@@ -54,16 +54,7 @@ func (c *Code) Set(x, y int, v bool) {
 func (c *Code) Ones() int {
 	n := 0
 	for _, b := range c.Bits {
-		n += popcount(b)
-	}
-	return n
-}
-
-func popcount(b byte) int {
-	n := 0
-	for b != 0 {
-		n += int(b & 1)
-		b >>= 1
+		n += bits.OnesCount8(b)
 	}
 	return n
 }
@@ -104,36 +95,6 @@ func (c *Code) SoftPlane() *vmath.Plane {
 	return vmath.GaussianBlurInto(p, p, 0.8)
 }
 
-// MarshalBinary encodes the code with a 4-byte geometry header.
-func (c *Code) MarshalBinary() ([]byte, error) {
-	if c.W > 0xFFFF || c.H > 0xFFFF {
-		return nil, fmt.Errorf("edgecode: dimensions too large %dx%d", c.W, c.H)
-	}
-	out := make([]byte, 4+len(c.Bits))
-	out[0] = byte(c.W >> 8)
-	out[1] = byte(c.W)
-	out[2] = byte(c.H >> 8)
-	out[3] = byte(c.H)
-	copy(out[4:], c.Bits)
-	return out, nil
-}
-
-// UnmarshalBinary decodes a MarshalBinary payload.
-func (c *Code) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("edgecode: short payload (%d bytes)", len(data))
-	}
-	w := int(data[0])<<8 | int(data[1])
-	h := int(data[2])<<8 | int(data[3])
-	need := (w*h + 7) / 8
-	if len(data)-4 < need {
-		return fmt.Errorf("edgecode: payload %d bytes, need %d for %dx%d", len(data)-4, need, w, h)
-	}
-	c.W, c.H = w, h
-	c.Bits = append(c.Bits[:0], data[4:4+need]...)
-	return nil
-}
-
 // Extractor is the server-side encoder. It keeps the temporal history state
 // He (an exponential moving average of the gradient field) that the paper's
 // encoder RNN maintains, which suppresses flicker in the code. The zero
@@ -150,15 +111,6 @@ type Extractor struct {
 	history *vmath.Plane // He; persistent pooled plane, refreshed in place
 
 	selScratch []float32 // percentile scratch, reused across frames
-
-	// Byte-tier state (ExtractBytes): its own He plus reusable scratch so
-	// the fixed-point path allocates nothing in steady state.
-	histBytes     []int32 // Q12 magnitudes
-	workBytes     *vmath.BytePlane
-	gradScratch   []int32 // squared gradient magnitudes
-	thinScratch   []int32
-	pooledScratch []int32 // Q12 magnitudes at code resolution
-	intSelScratch []int32
 }
 
 // NewExtractor returns an extractor producing w×h codes. Zero w/h select
@@ -177,7 +129,6 @@ func NewExtractor(w, h int) *Extractor {
 func (e *Extractor) Reset() {
 	vmath.Put(e.history)
 	e.history = nil
-	e.histBytes = nil
 }
 
 // Extract computes the binary point code of a frame. The frame may be any
@@ -274,8 +225,8 @@ func (e *Extractor) percentile(pix []float32, p float64) float32 {
 	return selectKth(tmp, rankIndex(p, len(tmp)))
 }
 
-// rankIndex is int(p·(n−1)) clamped to [0, n), the index both extractors
-// read their threshold from.
+// rankIndex is int(p·(n−1)) clamped to [0, n), the index the extractor
+// reads its threshold from.
 func rankIndex(p float64, n int) int {
 	return min(max(int(p*float64(n-1)), 0), n-1)
 }

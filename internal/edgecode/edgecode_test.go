@@ -1,7 +1,9 @@
 package edgecode
 
 import (
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +19,7 @@ func hamming(t *testing.T, a, b *Code) int {
 	}
 	n := 0
 	for i := range a.Bits {
-		n += popcount(a.Bits[i] ^ b.Bits[i])
+		n += bits.OnesCount8(a.Bits[i] ^ b.Bits[i])
 	}
 	return n
 }
@@ -45,33 +47,6 @@ func TestDefaultCodeIsOneKB(t *testing.T) {
 	c := NewCode(DefaultW, DefaultH)
 	if c.SizeBytes() != 1024 {
 		t.Fatalf("default code is %d bytes, want 1024 (the paper's 1 KB)", c.SizeBytes())
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	c := NewCode(32, 16)
-	c.Set(1, 1, true)
-	c.Set(31, 15, true)
-	b, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d Code
-	if err := d.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if d.W != 32 || d.H != 16 || !d.Get(1, 1) || !d.Get(31, 15) || d.Ones() != 2 {
-		t.Fatal("round trip lost data")
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var c Code
-	if err := c.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Fatal("short header accepted")
-	}
-	if err := c.UnmarshalBinary([]byte{0, 32, 0, 16, 0}); err == nil {
-		t.Fatal("short payload accepted")
 	}
 }
 
@@ -241,6 +216,22 @@ func TestDecompressErrors(t *testing.T) {
 	// Header only, no terminator.
 	if _, err := Decompress([]byte{0, 16, 0, 8}); err == nil {
 		t.Fatal("truncated body accepted")
+	}
+}
+
+// TestDecompressBoundsHeader: a 5-byte payload whose header declares a
+// 65535×65535 code is rejected before the bitmap is allocated.
+func TestDecompressBoundsHeader(t *testing.T) {
+	payload := []byte{0xff, 0xff, 0xff, 0xff, 0x80}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("65535x65535 header accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("rejecting a 5-byte payload allocated %d bytes, want < 1 MiB", d)
 	}
 }
 

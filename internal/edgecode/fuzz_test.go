@@ -5,49 +5,43 @@ import (
 	"testing"
 )
 
-// FuzzCodeUnmarshalBinary checks the code wire format against arbitrary
-// payloads: UnmarshalBinary must never panic or over-read, any payload it
-// accepts must leave the code internally consistent (bitmap sized to the
-// header geometry, every bit addressable), and a marshal of the result
-// must reproduce the accepted prefix byte-for-byte.
-func FuzzCodeUnmarshalBinary(f *testing.F) {
-	good, _ := NewCode(DefaultW, DefaultH).MarshalBinary()
-	f.Add(good)
-	small, _ := NewCode(8, 4).MarshalBinary()
-	f.Add(small)
+// FuzzDecompress checks the side channel's code decoder against arbitrary
+// payloads: Decompress must never panic, any code it accepts must be
+// internally consistent (bitmap sized to the header geometry, geometry
+// within maxCodeBits, pad bits clear), and compressing the accepted code
+// must decode back to the same code.
+func FuzzDecompress(f *testing.F) {
+	f.Add(NewCode(DefaultW, DefaultH).Compress())
+	f.Add(NewCode(8, 4).Compress())
 	f.Add([]byte{})
-	f.Add([]byte{0, 32, 0, 16, 0})          // payload shorter than geometry
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})   // 65535×65535 header, no bits
-	f.Add([]byte{0, 0, 0, 0})               // zero geometry
-	f.Add(append([]byte{0, 8, 0, 1}, 0xAA)) // exact fit
+	f.Add([]byte{0, 32, 0, 16, 0})              // body shorter than its terminator
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x80}) // 65535×65535 header
+	f.Add([]byte{0, 0, 0, 0, 0x80})             // zero geometry
+	exact := NewCode(8, 1)
+	exact.Bits[0] = 0xAA
+	f.Add(exact.Compress())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var c Code
-		if err := c.UnmarshalBinary(b); err != nil {
+		c, err := Decompress(b)
+		if err != nil {
 			return
 		}
-		if got, want := len(c.Bits), (c.W*c.H+7)/8; got != want {
+		n := c.W * c.H
+		if n > maxCodeBits {
+			t.Fatalf("accepted %dx%d code, over the %d-bit bound", c.W, c.H, maxCodeBits)
+		}
+		if got, want := len(c.Bits), (n+7)/8; got != want {
 			t.Fatalf("accepted %dx%d code with %d bitmap bytes, want %d", c.W, c.H, got, want)
 		}
-		ones := 0
-		for y := 0; y < c.H; y++ {
-			for x := 0; x < c.W; x++ {
-				if c.Get(x, y) {
-					ones++
-				}
-			}
+		if n%8 != 0 && c.Bits[len(c.Bits)-1]<<(n%8) != 0 {
+			t.Fatalf("accepted %dx%d code with pad bits set", c.W, c.H)
 		}
-		if full := c.Ones(); c.W*c.H%8 == 0 && ones != full {
-			// With no trailing pad bits, per-bit reads and the popcount
-			// must agree exactly.
-			t.Fatalf("Get walk found %d ones, Ones()=%d", ones, full)
-		}
-		out, err := c.MarshalBinary()
+		back, err := Decompress(c.Compress())
 		if err != nil {
-			t.Fatalf("accepted code fails to re-marshal: %v", err)
+			t.Fatalf("accepted code fails to decode after Compress: %v", err)
 		}
-		if !bytes.Equal(out, b[:len(out)]) {
-			t.Fatalf("marshal of accepted code does not reproduce input prefix")
+		if back.W != c.W || back.H != c.H || !bytes.Equal(back.Bits, c.Bits) {
+			t.Fatalf("Compress/Decompress changed a %dx%d code", c.W, c.H)
 		}
 	})
 }

@@ -90,37 +90,25 @@ func TestSelectKthMatchesSort(t *testing.T) {
 	}
 }
 
-// TestPercentilesMatchSort: both extractors' thresholds equal the
-// sort-based order statistic they replaced, on float32 and Q12 inputs.
+// TestPercentilesMatchSort: the extractor's threshold equals the
+// sort-based order statistic it replaced.
 func TestPercentilesMatchSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	e := NewExtractor(0, 0)
 	for name, in := range selectCases(rng) {
 		pix := make([]float32, len(in))
-		q12 := make([]int32, len(in))
 		for i, v := range in {
 			pix[i] = float32(v)
-			if !math.IsNaN(v) {
-				q12[i] = int32(math.Abs(v) * 4096)
-			}
 		}
 		ref := make([]float64, len(pix))
 		for i, v := range pix {
 			ref[i] = float64(v)
 		}
 		sort.Float64s(ref)
-		refInts := make([]int, len(q12))
-		for i, v := range q12 {
-			refInts[i] = int(v)
-		}
-		sort.Ints(refInts)
 		for _, p := range []float64{0, 0.5, 1 - 0.14, 1} {
 			k := int(p * float64(len(pix)-1))
 			if got := e.percentile(pix, p); cmp.Compare(float64(got), ref[k]) != 0 {
 				t.Fatalf("%s p=%v: percentile %v, sort has %v", name, p, got, ref[k])
-			}
-			if got := e.percentileQ12(q12, p); int(got) != refInts[k] {
-				t.Fatalf("%s p=%v: percentileQ12 %d, sort has %d", name, p, got, refInts[k])
 			}
 		}
 	}

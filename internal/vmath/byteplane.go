@@ -112,8 +112,7 @@ func (p *BytePool) Get(w, h int) *BytePlane {
 		if p == DefaultBytePool {
 			cBytePoolMiss.Add(1)
 		}
-		planeAllocs.Add(1)
-		return &BytePlane{W: w, H: h, Pix: make([]uint8, n)}
+		return NewBytePlane(w, h)
 	}
 	bcap := poolBucketCap(idx)
 	pl := p.buckets[idx].pop()

@@ -122,6 +122,10 @@ func NewRecoverer(cfg RecoveryConfig) *Recoverer { return recovery.New(cfg) }
 // the paper's 1 KB 64×128 geometry).
 func NewCodeExtractor(w, h int) *CodeExtractor { return edgecode.NewExtractor(w, h) }
 
+// DecompressCode decodes a code packed by BinaryPointCode.Compress, the
+// side channel's wire format.
+func DecompressCode(data []byte) (*BinaryPointCode, error) { return edgecode.Decompress(data) }
+
 // SuperResolver is the multi-resolution real-time SR model (§5).
 type (
 	SuperResolver = sr.SuperResolver

@@ -117,9 +117,13 @@ func TestFacadeStandaloneComponents(t *testing.T) {
 
 	ext := NewCodeExtractor(0, 0)
 	pc := ext.Extract(prev)
-	cc := ext.Extract(cur)
-	if pc.SizeBytes() != 1024 {
-		t.Fatalf("code size %d", pc.SizeBytes())
+	// The current frame's code arrives over the side channel.
+	cc, err := DecompressCode(ext.Extract(cur).Compress())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.SizeBytes() != 1024 || cc.SizeBytes() != 1024 {
+		t.Fatalf("code sizes %d, %d", pc.SizeBytes(), cc.SizeBytes())
 	}
 	rec := NewRecoverer(RecoveryConfig{OutW: w, OutH: h})
 	out := rec.Recover(RecoveryInput{Prev: prev, PrevCode: pc, CurCode: cc})
