@@ -6,6 +6,7 @@ package bits
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 )
 
@@ -157,7 +158,11 @@ func (r *Reader) ReadUE() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint32(1<<zeros + rest - 1), nil
+	v := uint64(1)<<zeros + rest - 1
+	if v > math.MaxUint32 {
+		return 0, errors.New("bits: Exp-Golomb value exceeds 32 bits")
+	}
+	return uint32(v), nil
 }
 
 // ReadSE decodes a signed Exp-Golomb value.
@@ -167,6 +172,10 @@ func (r *Reader) ReadSE() (int32, error) {
 		return 0, err
 	}
 	if u%2 == 1 {
+		if u == math.MaxUint32 {
+			// Maps to 2^31, one past math.MaxInt32.
+			return 0, errors.New("bits: signed Exp-Golomb value exceeds int32")
+		}
 		return int32(u/2 + 1), nil
 	}
 	return -int32(u / 2), nil

@@ -1,7 +1,9 @@
 package bits
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +176,56 @@ func TestMalformedUE(t *testing.T) {
 	r := NewReader(make([]byte, 6))
 	if _, err := r.ReadUE(); err == nil {
 		t.Fatal("expected malformed-code error")
+	}
+}
+
+// bitString returns a reader over the bits of s ('0'/'1'), zero-padded to
+// whole bytes.
+func bitString(s string) *Reader {
+	var w Writer
+	for _, c := range s {
+		w.WriteBit(int(c - '0'))
+	}
+	return NewReader(w.Bytes())
+}
+
+// TestUEBounds: the 32-zero prefix reaches exactly math.MaxUint32 (the
+// longest code WriteUE emits); one more in the suffix is an error, not a
+// value wrapped to 0.
+func TestUEBounds(t *testing.T) {
+	zeros := strings.Repeat("0", 32)
+	top := bitString(zeros + "1" + strings.Repeat("0", 32))
+	if v, err := top.ReadUE(); err != nil || v != math.MaxUint32 {
+		t.Fatalf("2^32-1: got %d, %v", v, err)
+	}
+	var w Writer
+	w.WriteUE(math.MaxUint32)
+	if v, err := NewReader(w.Bytes()).ReadUE(); err != nil || v != math.MaxUint32 {
+		t.Fatalf("WriteUE(MaxUint32) reads back %d, %v", v, err)
+	}
+	over := bitString(zeros + "1" + strings.Repeat("0", 31) + "1")
+	if v, err := over.ReadUE(); err == nil {
+		t.Fatalf("2^32 decoded as %d with a nil error", v)
+	}
+}
+
+// TestSEBounds: the largest unsigned code maps to 2^31, one past
+// math.MaxInt32, and is an error rather than math.MinInt32; the code below
+// it is -(2^31-1).
+func TestSEBounds(t *testing.T) {
+	zeros := strings.Repeat("0", 32)
+	over := bitString(zeros + "1" + strings.Repeat("0", 32)) // u = 2^32-1
+	if v, err := over.ReadSE(); err == nil {
+		t.Fatalf("u = 2^32-1 decoded as %d with a nil error", v)
+	}
+	below := bitString(strings.Repeat("0", 31) + strings.Repeat("1", 32)) // u = 2^32-2
+	if v, err := below.ReadSE(); err != nil || v != -math.MaxInt32 {
+		t.Fatalf("u = 2^32-2: got %d, %v", v, err)
+	}
+	var w Writer
+	w.WriteSE(math.MaxInt32)
+	if v, err := NewReader(w.Bytes()).ReadSE(); err != nil || v != math.MaxInt32 {
+		t.Fatalf("WriteSE(MaxInt32) reads back %d, %v", v, err)
 	}
 }
 

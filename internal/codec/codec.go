@@ -241,12 +241,16 @@ func (e *Encoder) Encode(frame *vmath.Plane) *EncodedFrame {
 	return ef
 }
 
+// minQ and maxQ bound the quantiser: rate control keeps it inside, and the
+// decoder rejects a slice outside, so dequantised levels stay finite.
+const minQ, maxQ = 0.5, 120
+
 func clampQ(q float32) float32 {
-	if q < 0.5 {
-		return 0.5
+	if q < minQ {
+		return minQ
 	}
-	if q > 120 {
-		return 120
+	if q > maxQ {
+		return maxQ
 	}
 	return q
 }
@@ -580,18 +584,22 @@ func clamp255(v float32) float32 {
 	return v
 }
 
-// DecodeResult carries a decoded frame plus the per-pixel received mask
-// (1 = reconstructed from received data, 0 = missing/concealed).
+// DecodeResult carries a decoded frame plus, when rows are missing, the
+// per-pixel received mask (1 = reconstructed from received data,
+// 0 = missing/concealed).
 //
 // Ownership: both planes come from the plane pool and belong to the
-// caller. Mask may be vmath.Put as soon as the caller is done with it.
-// Frame doubles as the decoder's prediction reference for the next frame
-// (unless SetReference replaces it first), so it must not be Put or
-// mutated while it may still be the live reference.
+// caller. Mask is nil when the frame is Complete; otherwise it may be
+// vmath.Put as soon as the caller is done with it (vmath.Put(nil) is a
+// no-op, so a caller may Put it unconditionally). Frame doubles as the
+// decoder's prediction reference for the next frame (unless SetReference
+// replaces it first), so it must not be Put or mutated while it may still
+// be the live reference.
 type DecodeResult struct {
 	Frame *vmath.Plane
 	Mask  *vmath.Plane
-	// RowsReceived counts macroblock rows reconstructed from real data.
+	// RowsReceived counts the distinct macroblock rows of the frame
+	// reconstructed from real data.
 	RowsReceived int
 	// RowsTotal is the number of macroblock rows in the frame.
 	RowsTotal int
@@ -612,20 +620,33 @@ func (r *DecodeResult) ReceivedFraction() float64 {
 // keeps the previous decoded frame as the motion-compensation reference;
 // the client may override it with a recovered frame via SetReference —
 // exactly what the NERVE client does after running the recovery model.
+// A Decoder is not safe for concurrent use.
 type Decoder struct {
 	cfg    Config
 	ref    *vmath.Plane
 	mbRows int
 	mbCols int
+
+	// rows marks the macroblock rows of the frame being decoded that a
+	// received slice has reconstructed.
+	rows []bool
+	// levels, deq and rec are decodeBlock's working arrays. The inverse
+	// transform is called through a function value in xf, which escape
+	// analysis cannot see through, so as locals they would move to the
+	// heap on every block; the decoder owns one set instead.
+	levels   [64]int32
+	deq, rec [64]float32
 }
 
 // NewDecoder returns a decoder matching cfg.
 func NewDecoder(cfg Config) *Decoder {
 	cfg = cfg.withDefaults()
+	mbRows := (cfg.H + MBSize - 1) / MBSize
 	return &Decoder{
 		cfg:    cfg,
-		mbRows: (cfg.H + MBSize - 1) / MBSize,
+		mbRows: mbRows,
 		mbCols: (cfg.W + MBSize - 1) / MBSize,
+		rows:   make([]bool, mbRows),
 	}
 }
 
@@ -653,8 +674,7 @@ func (d *Decoder) Decode(ef *EncodedFrame, received []bool) (*DecodeResult, erro
 		return nil, fmt.Errorf("codec: received mask length %d != %d slices", len(received), len(ef.Slices))
 	}
 	// out is fully written here (reference copy or grey fill), so a dirty
-	// pooled plane is safe; mask is only written where rows arrive, so it
-	// must start zeroed.
+	// pooled plane is safe.
 	out := vmath.Get(d.cfg.W, d.cfg.H)
 	// Conceal by default: copy reference or fill grey.
 	if d.ref != nil {
@@ -662,27 +682,54 @@ func (d *Decoder) Decode(ef *EncodedFrame, received []bool) (*DecodeResult, erro
 	} else {
 		out.Fill(128)
 	}
-	mask := vmath.GetZeroed(d.cfg.W, d.cfg.H)
-	res := &DecodeResult{Frame: out, Mask: mask, RowsTotal: d.mbRows}
-
+	clear(d.rows)
 	for si := range ef.Slices {
 		if received != nil && !received[si] {
 			continue
 		}
-		s := &ef.Slices[si]
-		if err := d.decodeSlice(s, out, mask); err != nil {
+		if err := d.decodeSlice(&ef.Slices[si], out); err != nil {
+			vmath.Put(out)
 			return nil, fmt.Errorf("codec: slice %d: %w", si, err)
 		}
-		res.RowsReceived += s.MBRowCount
+	}
+	res := &DecodeResult{Frame: out, RowsTotal: d.mbRows}
+	for _, got := range d.rows {
+		if got {
+			res.RowsReceived++
+		}
+	}
+	if !res.Complete() {
+		res.Mask = d.receivedMask()
 	}
 	d.ref = out
 	return res, nil
 }
 
-// decodeSlice decodes one slice's macroblock rows into out and marks mask.
-func (d *Decoder) decodeSlice(s *Slice, out, mask *vmath.Plane) error {
+// receivedMask returns a pooled plane that is 1 on the pixel rows of every
+// received macroblock row and 0 on the rest.
+func (d *Decoder) receivedMask() *vmath.Plane {
+	mask := vmath.Get(d.cfg.W, d.cfg.H)
+	for row, got := range d.rows {
+		v := float32(0)
+		if got {
+			v = 1
+		}
+		px := mask.Pix[row*MBSize*mask.W : min((row+1)*MBSize, mask.H)*mask.W]
+		for i := range px {
+			px[i] = v
+		}
+	}
+	return mask
+}
+
+// decodeSlice decodes one slice's macroblock rows into out and marks them
+// in d.rows. Rows past the frame's last macroblock row are not read.
+func (d *Decoder) decodeSlice(s *Slice, out *vmath.Plane) error {
+	if !(s.Q >= minQ && s.Q <= maxQ) {
+		return fmt.Errorf("quantiser %v outside [%v, %v]", s.Q, minQ, maxQ)
+	}
 	r := bits.NewReader(s.Data)
-	for row := s.MBRowStart; row < s.MBRowStart+s.MBRowCount; row++ {
+	for row := s.MBRowStart; row < min(s.MBRowStart+s.MBRowCount, d.mbRows); row++ {
 		pred := MV{}
 		cy := row * MBSize
 		for col := 0; col < d.mbCols; col++ {
@@ -700,7 +747,7 @@ func (d *Decoder) decodeSlice(s *Slice, out, mask *vmath.Plane) error {
 				// zero-vector skip has nothing to write — unless an
 				// earlier slice already decoded this row (slices that
 				// overlap, which only a malformed frame sends).
-				if pred != (MV{}) || cy >= d.cfg.H || mask.Pix[cy*mask.W] != 0 {
+				if pred != (MV{}) || d.rows[row] {
 					mcMB(d.ref, out, cx, cy, pred, d.cfg.W, d.cfg.H)
 				}
 			case modeInter:
@@ -729,18 +776,7 @@ func (d *Decoder) decodeSlice(s *Slice, out, mask *vmath.Plane) error {
 				return fmt.Errorf("bad macroblock mode %d", modeU)
 			}
 		}
-		// Mark the whole pixel rows of this MB row as received.
-		y0 := cy
-		y1 := cy + MBSize
-		if y1 > d.cfg.H {
-			y1 = d.cfg.H
-		}
-		for y := y0; y < y1; y++ {
-			rowPix := mask.Pix[y*mask.W : y*mask.W+mask.W]
-			for x := range rowPix {
-				rowPix[x] = 1
-			}
-		}
+		d.rows[row] = true
 	}
 	return nil
 }
@@ -748,11 +784,10 @@ func (d *Decoder) decodeSlice(s *Slice, out, mask *vmath.Plane) error {
 func (d *Decoder) decodeIntraMB(r *bits.Reader, out *vmath.Plane, cx, cy int, q float32) error {
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
-			rec, err := decodeBlock(r, q)
-			if err != nil {
+			if err := d.decodeBlock(r, q); err != nil {
 				return err
 			}
-			writeBlock(out, cx+bx*blockSize, cy+by*blockSize, rec, 128)
+			writeBlock(out, cx+bx*blockSize, cy+by*blockSize, &d.rec, 128)
 		}
 	}
 	return nil
@@ -761,11 +796,10 @@ func (d *Decoder) decodeIntraMB(r *bits.Reader, out *vmath.Plane, cx, cy int, q 
 func (d *Decoder) decodeInterMB(r *bits.Reader, out *vmath.Plane, cx, cy int, mv MV, q float32) error {
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
-			rec, err := decodeBlock(r, q)
-			if err != nil {
+			if err := d.decodeBlock(r, q); err != nil {
 				return err
 			}
-			d.writeInterMC(out, cx+bx*blockSize, cy+by*blockSize, mv, rec)
+			d.writeInterMC(out, cx+bx*blockSize, cy+by*blockSize, mv, &d.rec)
 		}
 	}
 	return nil
@@ -805,17 +839,15 @@ func (d *Decoder) writeInterMC(out *vmath.Plane, x0, y0 int, mv MV, rec *[64]flo
 	}
 }
 
-// decodeBlock entropy-decodes, dequantises and inverse-transforms one block.
-func decodeBlock(r *bits.Reader, q float32) (*[64]float32, error) {
-	var levels [64]int32
-	if err := readLevels(r, &levels); err != nil {
-		return nil, err
+// decodeBlock entropy-decodes, dequantises and inverse-transforms one block
+// into d.rec.
+func (d *Decoder) decodeBlock(r *bits.Reader, q float32) error {
+	if err := readLevels(r, &d.levels); err != nil {
+		return err
 	}
-	var deq [64]float32
-	dequantise(&levels, q, &deq)
-	var rec [64]float32
-	xf.idct(&deq, &rec)
-	return &rec, nil
+	dequantise(&d.levels, q, &d.deq)
+	xf.idct(&d.deq, &d.rec)
+	return nil
 }
 
 // readLevels entropy-decodes one block's quantised levels (the inverse of

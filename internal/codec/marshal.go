@@ -64,6 +64,11 @@ func (f *EncodedFrame) UnmarshalBinary(data []byte) error {
 	f.W = int(binary.BigEndian.Uint16(data[9:]))
 	f.H = int(binary.BigEndian.Uint16(data[11:]))
 	n := int(binary.BigEndian.Uint16(data[13:]))
+	// Every slice takes at least its 12-byte header, so a count the payload
+	// cannot hold is rejected before it sizes the slice list.
+	if n > (len(data)-15)/12 {
+		return fmt.Errorf("codec: %d slices in a %d-byte payload", n, len(data))
+	}
 	f.Recon = nil
 	f.Slices = make([]Slice, 0, n)
 	off := 15

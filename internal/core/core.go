@@ -392,6 +392,8 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 			// SetReference below swaps in the concealed frame.
 			staleRef = dr.Frame
 		}
+		// The decoder builds a mask only for an incomplete frame; Put of
+		// the nil mask of a complete one is a no-op.
 		vmath.Put(dr.Mask)
 	}
 

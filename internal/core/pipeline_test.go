@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"nerve/internal/par"
@@ -196,11 +197,15 @@ func TestPipelineRecordsOneDeadlineFramePerSlot(t *testing.T) {
 // TestPipelinedSteadyStateZeroPlaneAllocs extends the pooled-memory proof
 // to the overlapped schedule: with two workers, enhance(n−1) and
 // ingest(n) draw planes from the pool concurrently, and a warmed pipeline
-// must still allocate no plane backing arrays per frame.
+// must still allocate no plane backing arrays per frame. Nor may it make
+// per-frame heap garbage beyond small headers: the window of sr, partial
+// and recovered slots allocates at most maxHeapPerFrame bytes a frame
+// (runtime.MemStats.TotalAlloc).
 func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
 	defer par.SetWorkers(2)()
 
 	const frames = 24
+	const maxHeapPerFrame = 16 << 10
 	sfs := pipelineServerFrames(t, frames)
 	cli, err := NewClient(ClientConfig{
 		W: tw, H: th, OutW: tw * 2, OutH: th * 2,
@@ -209,9 +214,15 @@ func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The inputs are built up front so the test's own received masks do
+	// not count against the client.
+	ins := make([]Input, frames)
+	for i := range ins {
+		ins[i] = pipelineInput(sfs, i)
+	}
 	p := NewPipeline(cli)
 	step := func(i int) {
-		res, err := p.Push(pipelineInput(sfs, i))
+		res, err := p.Push(ins[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,16 +230,27 @@ func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
 			vmath.Put(res.Frame)
 		}
 	}
-	const warm = 12
-	for i := 0; i < warm; i++ {
+	// The first pass over the schedule warms the pools and sizes every
+	// scratch table that grows to the largest frame it has seen (recovery's
+	// hole list, for one); the second pass, which restarts at the I frame,
+	// is measured.
+	for i := range ins {
 		step(i)
 	}
-	before := vmath.PlaneAllocs()
-	for i := warm; i < frames; i++ {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before, heapBefore := vmath.PlaneAllocs(), ms.TotalAlloc
+	for i := range ins {
 		step(i)
 	}
+	runtime.ReadMemStats(&ms)
 	if d := vmath.PlaneAllocs() - before; d != 0 {
-		t.Fatalf("warm pipelined loop allocated %d plane backing arrays over %d frames, want 0", d, frames-warm)
+		t.Fatalf("warm pipelined loop allocated %d plane backing arrays over %d frames, want 0", d, frames)
+	}
+	per := (ms.TotalAlloc - heapBefore) / frames
+	t.Logf("%d heap bytes per frame", per)
+	if per > maxHeapPerFrame {
+		t.Fatalf("warm pipelined loop allocated %d heap bytes per frame, want at most %d", per, maxHeapPerFrame)
 	}
 	if last := p.Flush(); last != nil {
 		vmath.Put(last.Frame)
