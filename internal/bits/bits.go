@@ -55,8 +55,13 @@ func (w *Writer) WriteUE(v uint32) {
 }
 
 // WriteSE writes v with the signed Exp-Golomb mapping
-// (0, 1, -1, 2, -2, …) → (0, 1, 2, 3, 4, …).
+// (0, 1, -1, 2, -2, …) → (0, 1, 2, 3, 4, …). The mapping covers
+// [-MaxInt32, MaxInt32], what ReadSE can return; v = math.MinInt32 has no
+// code and panics rather than wrapping to the code for 0.
 func (w *Writer) WriteSE(v int32) {
+	if v == math.MinInt32 {
+		panic("bits: WriteSE(math.MinInt32) has no signed Exp-Golomb code")
+	}
 	var u uint32
 	if v > 0 {
 		u = uint32(v)*2 - 1

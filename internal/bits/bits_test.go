@@ -222,11 +222,26 @@ func TestSEBounds(t *testing.T) {
 	if v, err := below.ReadSE(); err != nil || v != -math.MaxInt32 {
 		t.Fatalf("u = 2^32-2: got %d, %v", v, err)
 	}
-	var w Writer
-	w.WriteSE(math.MaxInt32)
-	if v, err := NewReader(w.Bytes()).ReadSE(); err != nil || v != math.MaxInt32 {
-		t.Fatalf("WriteSE(MaxInt32) reads back %d, %v", v, err)
+	for _, v := range []int32{math.MaxInt32, -math.MaxInt32} {
+		var w Writer
+		w.WriteSE(v)
+		if got, err := NewReader(w.Bytes()).ReadSE(); err != nil || got != v {
+			t.Fatalf("WriteSE(%d) reads back %d, %v", v, got, err)
+		}
 	}
+}
+
+// TestWriteSEPanicsOnMinInt32: math.MinInt32 has no signed Exp-Golomb code
+// ReadSE could return, so WriteSE refuses it instead of writing the code
+// for 0.
+func TestWriteSEPanicsOnMinInt32(t *testing.T) {
+	var w Writer
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("WriteSE(MinInt32) wrote %d bits instead of panicking", w.BitLen())
+		}
+	}()
+	w.WriteSE(math.MinInt32)
 }
 
 func TestRemaining(t *testing.T) {

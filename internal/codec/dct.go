@@ -173,10 +173,20 @@ func dequantise(levels *[64]int32, q float32, coef *[64]float32) {
 }
 
 // roundLevel rounds half away from zero, like math.Round, without the
-// float64 round trip.
+// float64 round trip. Every level it returns has a bits.WriteSE code:
+// magnitudes past int32 saturate at ±MaxInt32 and NaN maps to 0, where a
+// plain conversion would give an implementation-defined value
+// (math.MinInt32 on amd64).
 func roundLevel(v float32) int32 {
-	if v >= 0 {
+	switch {
+	case v >= 1<<31:
+		return math.MaxInt32
+	case v <= -1<<31:
+		return -math.MaxInt32
+	case v >= 0:
 		return int32(v + 0.5)
+	case v < 0:
+		return int32(v - 0.5)
 	}
-	return int32(v - 0.5)
+	return 0 // NaN
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nerve/internal/bits"
 	"nerve/internal/metrics"
 	"nerve/internal/vmath"
 )
@@ -137,6 +138,35 @@ func TestAANRoundTripIdentity(t *testing.T) {
 	t.Logf("max round-trip error %g", worst)
 	if worst > 1e-3 {
 		t.Fatalf("AAN round trip deviates by %g > 1e-3", worst)
+	}
+}
+
+// TestRoundLevelSaturates: roundLevel rounds half away from zero, and a
+// non-finite or out-of-range coefficient still yields a level that
+// bits.WriteSE can code and ReadSE reads back — NaN as 0, everything past
+// int32 saturated at ±MaxInt32.
+func TestRoundLevelSaturates(t *testing.T) {
+	inf := float32(math.Inf(1))
+	for _, tc := range []struct {
+		v    float32
+		want int32
+	}{
+		{0, 0}, {0.49, 0}, {0.5, 1}, {-0.5, -1}, {-1.49, -1}, {2.5, 3},
+		{float32(math.NaN()), 0},
+		{inf, math.MaxInt32}, {-inf, -math.MaxInt32},
+		{1 << 31, math.MaxInt32}, {-1 << 31, -math.MaxInt32},
+		{1e20, math.MaxInt32}, {-1e20, -math.MaxInt32},
+		{2147483520, 2147483520}, {-2147483520, -2147483520},
+	} {
+		got := roundLevel(tc.v)
+		if got != tc.want {
+			t.Fatalf("roundLevel(%v) = %d, want %d", tc.v, got, tc.want)
+		}
+		var w bits.Writer
+		w.WriteSE(got)
+		if back, err := bits.NewReader(w.Bytes()).ReadSE(); err != nil || back != got {
+			t.Fatalf("level %d of roundLevel(%v) reads back as %d, %v", got, tc.v, back, err)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"nerve/internal/codec"
 	"nerve/internal/device"
@@ -90,14 +89,12 @@ type ClientConfig struct {
 	EnableRecovery bool
 	// EnableSR turns super-resolution on.
 	EnableSR bool
-	// Tier selects the kernel tier policy: TierFloat (the zero value) and
-	// TierFixed pin one tier for every frame, TierAuto lets a deadline
-	// governor switch float↔fixed per frame from observed frame times
-	// (see tierGovernor). The fixed tier runs the integer/SWAR kernels end
-	// to end: the recovery model's byte-plane warp path
-	// (recovery.Recoverer.SetFixedPoint) and the byte-plane SR head
-	// (sr.NewFast), which is a bilinear upsample, at a fraction of the
-	// one-core frame time.
+	// Tier selects the kernel tier every frame runs in: TierFloat (the
+	// zero value) or TierFixed; any other value is an error. The fixed
+	// tier runs the integer/SWAR kernels end to end: the recovery model's
+	// byte-plane warp path (recovery.Recoverer.SetFixedPoint) and the
+	// byte-plane SR head (sr.NewFast), which is a bilinear upsample, at a
+	// fraction of the one-core frame time.
 	Tier Tier
 	// Device is the cost model used for the latency/energy accounting
 	// (default iPhone 12).
@@ -149,13 +146,9 @@ type FrameResult struct {
 	// ProcessSeconds is the modelled device time spent on the frame
 	// (decode + recovery/SR inference).
 	ProcessSeconds float64
-	// Tier is the kernel tier the frame actually ran in — the pinned tier,
-	// or the governor's per-frame choice under TierAuto (never TierAuto
-	// itself).
+	// Tier is the kernel tier the frame ran in: the client's
+	// ClientConfig.Tier.
 	Tier Tier
-	// probe marks a single-frame float probe issued by the governor while
-	// resident in the fixed tier; its observation is fed back specially.
-	probe bool
 }
 
 // upscaler is the SR stage contract both tiers satisfy (sr.SuperResolver
@@ -172,20 +165,10 @@ type Client struct {
 	rec *recovery.Recoverer
 	ext *edgecode.Extractor // to derive codes of locally produced frames
 
-	// SR heads per tier. Pinned policies build only their own head;
-	// TierAuto builds both so a switch costs nothing at frame time. Both
-	// are immutable after NewClient — stageEnhance picks one by the
-	// frame's tier, so the choice is safe to read from a pool worker while
-	// the next ingest is already deciding a different tier.
-	srFloat upscaler
-	srFixed upscaler
-	hasSR   bool
-
-	gov *tierGovernor // deadline governor; non-nil only for TierAuto
-	// govCost, when set, replaces the governor's wall-clock frame cost
-	// with a scripted one — the determinism tests' seam. Takes the frame
-	// index and the tier the frame ran in.
-	govCost func(frame int, t Tier) time.Duration
+	// sr is the tier's SR head, nil when the client does not super-
+	// resolve. It is immutable after NewClient, so stageEnhance may run it
+	// on a pool worker while the next ingest proceeds.
+	sr upscaler
 
 	prevOut   *vmath.Plane // previous displayed frame at transmission res
 	prevPrev  *vmath.Plane
@@ -207,7 +190,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Device == nil {
 		cfg.Device = device.IPhone12()
 	}
-	tier := cfg.Tier
+	if cfg.Tier != TierFloat && cfg.Tier != TierFixed {
+		return nil, fmt.Errorf("core: unknown kernel tier %v", cfg.Tier)
+	}
 	c := &Client{
 		cfg:     cfg,
 		dec:     codec.NewDecoder(codec.Config{W: cfg.W, H: cfg.H}),
@@ -215,35 +200,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		ext:     edgecode.NewExtractor(0, 0),
 		classes: make(map[FrameClass]int),
 	}
+	fixed := cfg.Tier == TierFixed
+	c.rec.SetFixedPoint(fixed)
 	if cfg.EnableSR && (cfg.OutW != cfg.W || cfg.OutH != cfg.H) {
-		c.hasSR = true
-		if tier != TierFixed {
-			c.srFloat = sr.New(sr.Config{OutW: cfg.OutW, OutH: cfg.OutH})
+		srCfg := sr.Config{OutW: cfg.OutW, OutH: cfg.OutH}
+		if fixed {
+			c.sr = sr.NewFast(srCfg)
+		} else {
+			c.sr = sr.New(srCfg)
 		}
-		if tier != TierFloat {
-			c.srFixed = sr.NewFast(sr.Config{OutW: cfg.OutW, OutH: cfg.OutH})
-		}
-	}
-	if tier == TierAuto {
-		// Seed the governor from the device model until real observations
-		// arrive: the float tier is priced as hardware decode plus neural
-		// inference, the fixed tier as decode plus the grid-sample warp at
-		// the recovery work resolution (≤270p) — the warp-bound SWAR path
-		// that replaces inference under deadline pressure.
-		dec := devSeconds(cfg.Device.DecodeLatency(nearestRung(cfg.W, cfg.H)))
-		rc := c.rec.Config()
-		c.gov = newTierGovernor(
-			time.Second/30,
-			dec+devSeconds(cfg.Device.EnhanceLatency()),
-			dec+devSeconds(cfg.Device.WarpLatency(rc.WorkW, rc.WorkH)),
-		)
 	}
 	return c, nil
-}
-
-// devSeconds converts a device-model latency (seconds) to a Duration.
-func devSeconds(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }
 
 // ClassCounts returns how many displayed frames were produced per class so
@@ -287,48 +254,12 @@ func (c *Client) Next(in Input) (*FrameResult, error) {
 	// The whole of Next is one playout slot's processing: decode plus
 	// recovery/SR. This is the span the per-frame deadline measures.
 	defer telemetry.FrameStart().Done()
-	start := time.Now()
 	res, outTx, err := c.stageIngest(in)
 	if err != nil {
 		return nil, err
 	}
-	res.Frame = c.stageEnhance(c.displayPlane(), outTx, res.Tier)
-	c.observeGov(res, time.Since(start))
+	res.Frame = c.stageEnhance(c.displayPlane(), outTx)
 	return res, nil
-}
-
-// observeGov feeds one completed frame back to the tier accounting: the
-// per-tier frame counters always move, and under TierAuto the governor
-// absorbs the frame's cost — wall-clock stage time, or the scripted govCost
-// in tests. Callers invoke it once per completed frame in playout order:
-// Next inline, Pipeline at the join.
-func (c *Client) observeGov(res *FrameResult, cost time.Duration) {
-	if res.Tier == TierFixed {
-		cTierFixedFrames.Add(1)
-	} else {
-		cTierFloatFrames.Add(1)
-	}
-	if c.gov == nil {
-		return
-	}
-	if c.govCost != nil {
-		cost = c.govCost(res.Index, res.Tier)
-	}
-	if c.gov.observe(res.Tier, res.probe, cost) {
-		cTierSwitches.Add(1)
-	}
-}
-
-// frameTier resolves the tier for the frame about to be ingested.
-func (c *Client) frameTier() (t Tier, probe bool) {
-	if c.gov == nil {
-		return c.cfg.Tier, false
-	}
-	t, probe = c.gov.next()
-	if probe {
-		cTierProbes.Add(1)
-	}
-	return t, probe
 }
 
 // stageIngest is stage A of the frame graph: decode (or conceal/recover)
@@ -351,14 +282,9 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 		return nil, nil, fmt.Errorf("core: frame %d: %dx%d code with %d bitmap bytes, want %dx%d",
 			c.frameIdx, code.W, code.H, len(code.Bits), c.ext.W, c.ext.H)
 	}
-	res := &FrameResult{Index: c.frameIdx}
+	res := &FrameResult{Index: c.frameIdx, Tier: c.cfg.Tier}
 	dev := c.cfg.Device
 	c.total++
-
-	// Pick the frame's kernel tier before any kernel can run, and point
-	// the recovery model at it — tier is per-frame state everywhere else.
-	res.Tier, res.probe = c.frameTier()
-	c.rec.SetFixedPoint(res.Tier == TierFixed)
 
 	var outTx *vmath.Plane // displayed frame at transmission resolution
 	var staleRef *vmath.Plane
@@ -374,11 +300,6 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	default:
 		dr, err := c.dec.Decode(in.Encoded, in.Received)
 		if err != nil {
-			// The slot died before producing an observation; re-arm a
-			// probe issued for it so float re-entry is not wedged.
-			if c.gov != nil {
-				c.gov.cancel(res.probe)
-			}
 			return nil, nil, fmt.Errorf("core: decode frame %d: %w", c.frameIdx, err)
 		}
 		res.ProcessSeconds += dev.DecodeLatency(nearestRung(c.cfg.W, c.cfg.H))
@@ -404,7 +325,7 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	c.dec.SetReference(outTx)
 	vmath.Put(staleRef)
 
-	if c.hasSR {
+	if c.sr != nil {
 		res.ProcessSeconds += dev.EnhanceLatency()
 		if res.Class == ClassDecoded {
 			res.Class = ClassSR
@@ -429,6 +350,11 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	}
 	c.frameIdx++
 	c.classes[res.Class]++
+	if res.Tier == TierFixed {
+		cTierFixedFrames.Add(1)
+	} else {
+		cTierFloatFrames.Add(1)
+	}
 	return res, outTx, nil
 }
 
@@ -443,17 +369,13 @@ func (c *Client) displayPlane() *vmath.Plane {
 // stageEnhance is stage B of the frame graph: lift the transmission-
 // resolution frame to display resolution into dst (SR head or plain
 // bilinear; a copy when the resolutions are equal and SR is off). It
-// reads only outTx, the frame's tier and immutable client state (the SR
-// heads never change after NewClient), touches no client temporal state,
-// and is deterministic for any worker-pool size — the properties Pipeline
-// relies on to overlap it with the next ingest even while the governor is
-// deciding a different tier for that ingest.
-func (c *Client) stageEnhance(dst, outTx *vmath.Plane, tier Tier) *vmath.Plane {
-	if c.hasSR {
-		if tier == TierFixed {
-			return c.srFixed.UpscaleInto(dst, outTx)
-		}
-		return c.srFloat.UpscaleInto(dst, outTx)
+// reads only outTx and immutable client state (the SR head never changes
+// after NewClient), touches no client temporal state, and is
+// deterministic for any worker-pool size — the properties Pipeline relies
+// on to overlap it with the next ingest.
+func (c *Client) stageEnhance(dst, outTx *vmath.Plane) *vmath.Plane {
+	if c.sr != nil {
+		return c.sr.UpscaleInto(dst, outTx)
 	}
 	if c.cfg.OutW != c.cfg.W || c.cfg.OutH != c.cfg.H {
 		return vmath.ResizeBilinearInto(dst, outTx)

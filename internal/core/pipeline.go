@@ -17,15 +17,6 @@ import (
 // where par.Go degrades to inline execution and the schedule collapses to
 // exactly Next's.
 //
-// One caveat under ClientConfig.Tier == TierAuto: the governor's
-// observation of frame n arrives at the join inside Push(n+1), after that
-// slot's ingest already chose its tier — so pipelined tier decisions lag
-// sequential ones by one frame (tier(n+1) is a function of frames ≤ n−1
-// rather than ≤ n). The switch sequence is still deterministic for any
-// pool size (observations stay in playout order on the caller goroutine),
-// but Auto-tier output is only bit-identical between Push and Next drivers
-// when the lag changes no decision. Pinned tiers are unaffected.
-//
 // The price of the overlap is one slot of latency: Push(n) returns frame
 // n−1 (nil on the first call), and Flush drains the last frame at end of
 // stream. The deadline tracker (telemetry ObserveFrame) sees each slot's
@@ -48,11 +39,10 @@ type Pipeline struct {
 	c *Client
 
 	// Frame in flight: result of the pending stage B, its join handle, and
-	// the stage busy times the governor observes.
+	// the stage A busy time Flush reports for it.
 	pending *FrameResult
 	join    func()
-	ingest  time.Duration // stage A busy time of the pending frame
-	enhance time.Duration // stage B busy time, written inside the task
+	ingest  time.Duration
 }
 
 // NewPipeline wraps c in a pipelined scheduler. The client must not be
@@ -81,20 +71,13 @@ func (p *Pipeline) Push(in Input) (*FrameResult, error) {
 		p.join()
 		done = p.pending
 		// The deadline tracker sees how long this Push blocked the caller
-		// (ingest of the new slot + the tail of the joined enhance). The
-		// governor sees the busy time — what the frame actually cost
-		// across both stages, not what the overlap hid.
+		// (ingest of the new slot + the tail of the joined enhance).
 		telemetry.Default.ObserveFrame(time.Since(start))
-		p.c.observeGov(done, p.ingest+p.enhance)
 	}
 	p.pending = res
 	p.ingest = ingest
 	dst := p.c.displayPlane()
-	p.join = par.Go(func() {
-		t0 := time.Now()
-		res.Frame = p.c.stageEnhance(dst, outTx, res.Tier)
-		p.enhance = time.Since(t0)
-	})
+	p.join = par.Go(func() { res.Frame = p.c.stageEnhance(dst, outTx) })
 	return done, nil
 }
 
@@ -113,6 +96,5 @@ func (p *Pipeline) Flush() *FrameResult {
 	// The drain slot has no new ingest to hide the join behind: its
 	// critical path is its own ingest plus the remaining enhance tail.
 	telemetry.Default.ObserveFrame(p.ingest + time.Since(start))
-	p.c.observeGov(done, p.ingest+p.enhance)
 	return done
 }

@@ -17,7 +17,10 @@ import (
 // under that tier with zero switches and probes.
 // v4: removed the pipeline block; pipelined clients still record each
 // slot's critical-path time in the deadline block.
-const SnapshotSchema = 4
+// v5: removed the tier.switches and tier.probes counters with the tier
+// governor; every client is pinned to one tier and counts each frame
+// under it in tier.float_frames or tier.fixed_frames.
+const SnapshotSchema = 5
 
 // StageStats is one stage's aggregate in a Snapshot. All times are
 // milliseconds of wall clock.

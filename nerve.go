@@ -93,15 +93,15 @@ func NewServer(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
 // NewClient builds a client engine.
 func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
 
-// Tier is the client's kernel tier policy (ClientConfig.Tier): TierFloat
-// (the zero value) and TierFixed pin one tier, TierAuto lets a deadline
-// governor pick per frame.
+// Tier is the client's kernel tier (ClientConfig.Tier): TierFloat (the
+// zero value) or TierFixed, pinned for every frame.
 type Tier = core.Tier
 
 const (
 	TierFloat = core.TierFloat
 	TierFixed = core.TierFixed
-	TierAuto  = core.TierAuto
+	// Deprecated: TierAuto is TierFixed; use TierFixed.
+	TierAuto = core.TierAuto
 )
 
 // ---- Standalone components ----
