@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -196,6 +197,76 @@ func clientPolicy(seed int64) httpstream.RetryPolicy {
 		MaxBackoff:     2 * time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 		Seed:           seed,
+	}
+}
+
+// TestPeerFetchNotSharedAcrossOwners: a peer fetch still in flight to an
+// owner that has since been marked dead is not shared with a request for
+// the same key routed to the key's new owner. That request is served by
+// the new owner without waiting, and the dead owner's failure is never
+// blamed on the live one.
+func TestPeerFetchNotSharedAcrossOwners(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(arrived) })
+		<-release
+		http.Error(w, "going down", http.StatusServiceUnavailable)
+	}))
+	defer dead.Close()
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte("from-live"))
+	}))
+	defer live.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+
+	self := "http://self.invalid"
+	node, err := NewNode(Config{
+		Self: self, Peers: []string{self, dead.URL, live.URL},
+		Origin: originConfig(), PeerRetry: fastPeerRetry(), DeadCooldown: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A key the dying peer owns and the live peer inherits.
+	heir := NewRing(0, self, live.URL)
+	path := ""
+	for i := 0; path == ""; i++ {
+		key := fmt.Sprintf("seg:0:%d", i)
+		if node.Ring().Owner(key) == dead.URL && heir.Owner(key) == live.URL {
+			path = fmt.Sprintf("/segment?rate=0&n=%d", i)
+		}
+	}
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		node.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		get()
+	}()
+	<-arrived // the fetch from the dying owner is in flight
+	node.Ring().MarkDead(dead.URL)
+	second := make(chan *httptest.ResponseRecorder, 1)
+	go func() { second <- get() }()
+	select {
+	case rec := <-second:
+		if body := rec.Body.String(); rec.Code != http.StatusOK || body != "from-live" {
+			t.Errorf("request routed to the new owner got %d with %d bytes, want 200 %q", rec.Code, len(body), "from-live")
+		}
+	case <-time.After(10 * time.Second):
+		unblock()
+		<-second
+		t.Error("request routed to the new owner waited on the fetch from the dead owner")
+	}
+	unblock()
+	<-first
+	if !node.Ring().Alive(live.URL) {
+		t.Error("the dead owner's failure marked the live owner dead")
 	}
 }
 

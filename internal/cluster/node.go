@@ -247,14 +247,17 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // peerFetch returns the payload for key from the owning peer, through
 // the node's LRU cache and singleflight: a miss storm on a remote key
-// crosses the network once.
+// crosses the network once. The flight is keyed by owner as well as by
+// key: a fetch still in flight to an owner that has since been marked
+// dead must not hand its failure to a request routed to the key's new
+// owner, which would then mark that live owner dead too.
 func (n *Node) peerFetch(r *http.Request, owner, key string) ([]byte, error) {
 	if b, ok := n.cache.Get(key); ok {
 		return b, nil
 	}
 	n.peerFetches.add(1)
 	cPeer.Add(1)
-	return n.flight.DoCtx(r.Context(), key, func() ([]byte, error) {
+	return n.flight.DoCtx(r.Context(), owner+" "+key, func() ([]byte, error) {
 		if b, ok := n.cache.Get(key); ok {
 			return b, nil
 		}

@@ -69,7 +69,7 @@ func TestEarlyTermBounds(t *testing.T) {
 func translatedPlanes(w, h, dx, dy int) (cur, ref *vmath.Plane) {
 	g := vmath.NewPlane(w, h)
 	for i := range g.Pix {
-		g.Pix[i] = float32((i*2654435761 + i/w*97) % 256)
+		g.Pix[i] = float32((uint32(i)*2654435761 + uint32(i/w*97)) % 256)
 	}
 	ref = vmath.GaussianBlur(g, 1.2)
 	cur = vmath.NewPlane(w, h)

@@ -13,8 +13,8 @@ import (
 // Stage A carries all the temporal state and must stay sequential; stage B
 // is a pure function of its input plane, so exactly one B is in flight at a
 // time and the overlap changes no pixel: output frames are bit-identical to
-// Client.Next for any worker-pool size, including the budget-exhausted case
-// where par.Go degrades to inline execution and the schedule collapses to
+// Client.Next for any worker-pool size, including pool size 1, where
+// par.Go degrades to inline execution and the schedule collapses to
 // exactly Next's.
 //
 // The price of the overlap is one slot of latency: Push(n) returns frame
@@ -23,15 +23,13 @@ import (
 // critical-path time — the time Push actually blocks the caller, ingest(n)
 // plus whatever remains of enhance(n−1) at join — because that is what
 // bounds the sustainable frame rate. The join does not idle through that
-// remainder: enhance's banded loops run with the worker budget spent (the
-// task holds the spare slot), so par publishes them as open loops and the
-// joining caller runs bands of them until the task ends. On two workers
-// the critical path is then about ingest plus half of what is left of
+// remainder: every par loop is an open loop, so the joining caller runs
+// bands of enhance's loops until the task ends. On two workers the
+// critical path is then about ingest plus half of what is left of
 // enhance, rather than enhance alone. The other way round holds too: the
-// ingest's loops (recovery's flow search, inpaint, per-pixel passes) find
-// the budget spent while enhance runs, so they are published as well, and
-// the task's goroutine, once enhance is done, runs their unclaimed bands
-// before it frees its slot for the ingest's later loops.
+// pool goroutine that ran enhance, once it is done, picks up the unclaimed
+// bands of the ingest's loops (recovery's flow search, inpaint, per-pixel
+// passes).
 //
 // A Pipeline wraps the Client exclusively: interleaving Push with direct
 // Next calls on the same Client is a data race on the temporal state.
@@ -83,7 +81,7 @@ func (p *Pipeline) Push(in Input) (*FrameResult, error) {
 
 // Flush joins the in-flight enhance stage and returns its completed frame,
 // or nil when nothing is pending. Call it after the last Push to drain the
-// final frame.
+// final frame and free the par table slot its enhance task holds.
 func (p *Pipeline) Flush() *FrameResult {
 	if p.pending == nil {
 		return nil

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"nerve/internal/par"
 	"nerve/internal/video"
 	"nerve/internal/vmath"
 )
@@ -210,6 +211,9 @@ func TestOriginMidPassFailure(t *testing.T) {
 	srv.testErr = errors.New("injected mid-pass failure")
 	srv.testErrAt = fpc + fpc/2
 
+	// The par pool's goroutines are long-lived and start on first use:
+	// start them before the baseline, so only what the pass leaks counts.
+	par.For(2, func(int) {})
 	before := runtime.NumGoroutine()
 	rec := serve(srv, "/segment?rate=1&n=1")
 	if rec.Code != http.StatusInternalServerError {

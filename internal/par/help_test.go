@@ -54,10 +54,11 @@ func TestHelpingJoinOutputPoolIndependent(t *testing.T) {
 	}
 }
 
-// TestJoinHelpsOwnTasksLoop: with two workers the Go task holds the only
-// spare slot, so its two-band loop has no extra worker. Each band waits
-// until the other has started; the loop can only finish if the joining
-// goroutine runs one of the bands.
+// TestJoinHelpsOwnTasksLoop: with two workers the one pool goroutine runs
+// the Go task (or the join does), so the task's two-band loop has no other
+// worker. Each band waits until the other has started; the loop can only
+// finish if the joining goroutine (or the pool goroutine) runs one of the
+// bands.
 func TestJoinHelpsOwnTasksLoop(t *testing.T) {
 	defer SetWorkers(2)()
 	var started [2]chan struct{}
@@ -116,11 +117,7 @@ func TestHelpedBandPanicReRaisedOnceByOwner(t *testing.T) {
 	if s, _ := msg.Load().(string); !strings.Contains(s, "helped-boom") {
 		t.Fatalf("owner raised %q, want the band's panic value inside", s)
 	}
-	for k := range loops {
-		if loops[k].state != slotFree {
-			t.Fatalf("open-loop slot %d left in state %d", k, loops[k].state)
-		}
-	}
+	checkTableFree(t)
 }
 
 // TestJoinNeverReturnsBeforeTask: however much helping a join does —
@@ -149,26 +146,27 @@ func TestJoinNeverReturnsBeforeTask(t *testing.T) {
 			t.Fatalf("round %d: join returned before its task finished", round)
 		}
 	}
-	if activeGo.Load() != 0 || activeExtra.Load() != 0 {
-		t.Fatalf("activeGo = %d, activeExtra = %d after every join, want 0", activeGo.Load(), activeExtra.Load())
-	}
+	checkTableFree(t)
 }
 
-// TestPublishAllocatesNothing: opening and closing a loop while a Go task
-// is in flight must not touch the heap, beyond what the sequential loop
-// already costs.
+// TestPublishAllocatesNothing: opening and closing a loop, alone or while
+// a Go task is in flight, must not touch the heap, beyond what the
+// sequential loop already costs.
 func TestPublishAllocatesNothing(t *testing.T) {
 	defer SetWorkers(2)()
+	sink := make([]int, 64)
+	fn := func(i int) { sink[i]++ }
+	if a := testing.AllocsPerRun(100, func() { For(len(sink), fn) }); a != 0 {
+		t.Fatalf("a published loop allocated %.1f times per run, want 0", a)
+	}
 	release := make(chan struct{})
 	join := Go(func() { <-release })
 	defer func() {
 		close(release)
 		join()
 	}()
-	sink := make([]int, 64)
-	fn := func(i int) { sink[i]++ }
 	if a := testing.AllocsPerRun(100, func() { For(len(sink), fn) }); a != 0 {
-		t.Fatalf("a published loop allocated %.1f times per run, want 0", a)
+		t.Fatalf("a loop published beside a Go task allocated %.1f times per run, want 0", a)
 	}
 }
 
@@ -197,10 +195,10 @@ func TestHelpingKeepsConcurrencyBound(t *testing.T) {
 	}
 }
 
-// TestFinishedTaskDrainsOpenLoop: with two workers the Go task holds the
-// only spare slot, so the caller's two-band loop is published with no
-// extra worker. The owner holds band 0 until band 1 has started, and
-// nobody joins: only the task's goroutine, draining after fn returns, can
+// TestFinishedTaskDrainsOpenLoop: with two workers the one pool goroutine
+// runs the Go task, so the caller's two-band loop has no other worker. The
+// owner holds band 0 until band 1 has started, and nobody joins: only the
+// pool goroutine, picking up the open loop once the task's fn returns, can
 // run band 1.
 func TestFinishedTaskDrainsOpenLoop(t *testing.T) {
 	defer SetWorkers(2)()
@@ -226,68 +224,17 @@ func TestFinishedTaskDrainsOpenLoop(t *testing.T) {
 	})
 	join()
 	if stuck.Load() {
-		t.Fatal("band 1 did not start within 10 s: the finished task did not drain the open loop")
+		t.Fatal("band 1 did not start within 10 s: the pool goroutine did not pick up the open loop")
 	}
 	if !afterFn.Load() {
 		t.Fatal("band 1 ran before the task's fn returned")
 	}
-	if activeGo.Load() != 0 || activeExtra.Load() != 0 {
-		t.Fatalf("activeGo = %d, activeExtra = %d after join, want 0", activeGo.Load(), activeExtra.Load())
-	}
+	checkTableFree(t)
 }
 
-// TestJoinWaitsForDrain: a join returns only once the task's goroutine
-// has left the bands it drains and given its budget slot back. The loop
-// here belongs to a third goroutine, so the joiner has nothing to help.
-func TestJoinWaitsForDrain(t *testing.T) {
-	defer SetWorkers(2)()
-	release := make(chan struct{})
-	join := Go(func() { <-release })
-	band1, letGo, owned := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(owned)
-		For(2, func(i int) {
-			if i == 0 {
-				close(release)
-				select {
-				case <-band1:
-				case <-time.After(10 * time.Second):
-				}
-				return
-			}
-			close(band1)
-			<-letGo
-		})
-	}()
-	select {
-	case <-band1: // the draining task is inside band 1
-	case <-time.After(10 * time.Second):
-		t.Fatal("band 1 did not start within 10 s: the finished task did not drain the open loop")
-	}
-	joined := make(chan struct{})
-	go func() {
-		join()
-		close(joined)
-	}()
-	select {
-	case <-joined:
-		t.Fatal("join returned while the task's goroutine was still running a drained band")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if n := activeExtra.Load(); n != 1 {
-		t.Fatalf("activeExtra = %d while the task drains, want 1 (its slot)", n)
-	}
-	close(letGo)
-	<-joined
-	if n := activeExtra.Load(); n != 0 {
-		t.Fatalf("activeExtra = %d after join returned, want 0", n)
-	}
-	<-owned
-}
-
-// TestDrainedBandPanicReRaisedByOwner: a band that panics on the draining
-// task's goroutine is re-raised by the loop's owner, and join, whose task
-// did not panic, returns normally.
+// TestDrainedBandPanicReRaisedByOwner: a band that panics on the pool
+// goroutine that ran the Go task is re-raised by the loop's owner, and
+// join, whose task did not panic, returns normally.
 func TestDrainedBandPanicReRaisedByOwner(t *testing.T) {
 	defer SetWorkers(2)()
 	release := make(chan struct{})
@@ -313,14 +260,45 @@ func TestDrainedBandPanicReRaisedByOwner(t *testing.T) {
 	}()
 	join()
 	if stuck.Load() {
-		t.Fatal("band 1 did not run within 10 s: the finished task did not drain the open loop")
+		t.Fatal("band 1 did not run within 10 s: the pool goroutine did not pick up the open loop")
 	}
 	if !strings.Contains(raised, "drained-boom") {
 		t.Fatalf("owner raised %q, want the drained band's panic value inside", raised)
 	}
-	for k := range loops {
-		if loops[k].state != slotFree {
-			t.Fatalf("open-loop slot %d left in state %d", k, loops[k].state)
+	checkTableFree(t)
+}
+
+// TestShrunkPoolStaysAsleep: after a run at eight workers has started
+// seven pool goroutines, a run at two never has more than two goroutines
+// running indices at once: the pool goroutines beyond the new size stay
+// asleep.
+func TestShrunkPoolStaysAsleep(t *testing.T) {
+	band := func(cur, peak *atomic.Int64) func(int) {
+		return func(int) {
+			c := cur.Add(1)
+			for {
+				p := peak.Load()
+				if c <= p || peak.CompareAndSwap(p, c) {
+					break
+				}
+			}
+			time.Sleep(50 * time.Microsecond)
+			cur.Add(-1)
 		}
 	}
+	restore := SetWorkers(8)
+	var cur, peak atomic.Int64
+	For(64, band(&cur, &peak))
+	restore()
+
+	defer SetWorkers(2)()
+	cur.Store(0)
+	peak.Store(0)
+	for round := 0; round < 20; round++ {
+		For(16, band(&cur, &peak))
+	}
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("observed %d concurrent indices after shrinking the pool to 2", p)
+	}
+	checkTableFree(t)
 }

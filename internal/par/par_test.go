@@ -89,7 +89,8 @@ func TestForRowsCoverage(t *testing.T) {
 
 func TestNestedLoopsComplete(t *testing.T) {
 	// A nested parallel loop must neither deadlock nor oversubscribe: the
-	// inner loops find the worker budget spent and run sequentially.
+	// inner loops are published to the same table the pool goroutines
+	// already serve.
 	defer SetWorkers(4)()
 	var total atomic.Int64
 	For(8, func(i int) {
@@ -113,17 +114,15 @@ func TestConcurrencyBound(t *testing.T) {
 				break
 			}
 		}
-		// Nested loop while holding a slot: must not add workers beyond
-		// the global budget.
+		// Nested loop on a pool goroutine: must not add workers beyond
+		// the pool size.
 		ForRows(16, func(y0, y1 int) {})
 		cur.Add(-1)
 	})
 	if p := peak.Load(); p > 4 {
-		t.Fatalf("observed %d concurrent workers, budget is 4", p)
+		t.Fatalf("observed %d concurrent workers, pool size is 4", p)
 	}
-	if activeExtra.Load() != 0 {
-		t.Fatalf("activeExtra = %d after loops finished, want 0", activeExtra.Load())
-	}
+	checkTableFree(t)
 }
 
 func TestPanicPropagates(t *testing.T) {
@@ -136,9 +135,7 @@ func TestPanicPropagates(t *testing.T) {
 		if s := fmt.Sprint(v); !strings.Contains(s, "kaboom") {
 			t.Fatalf("recovered %q, want original panic value inside", s)
 		}
-		if activeExtra.Load() != 0 {
-			t.Fatalf("activeExtra = %d after panic, want 0", activeExtra.Load())
-		}
+		checkTableFree(t)
 	}()
 	For(100, func(i int) {
 		if i == 13 {
@@ -160,6 +157,19 @@ func TestSequentialFallbackSameGoroutine(t *testing.T) {
 	}
 	if len(got) != 10 {
 		t.Fatalf("visited %d indices, want 10", len(got))
+	}
+}
+
+// checkTableFree fails the test unless every open-loop slot is free: a
+// loop or Go task that has returned must have retired its slot.
+func checkTableFree(t *testing.T) {
+	t.Helper()
+	mu.Lock()
+	defer mu.Unlock()
+	for k := range loops {
+		if loops[k].fn != nil {
+			t.Fatalf("open-loop slot %d still taken", k)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package vmath
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"nerve/internal/par"
 	"nerve/internal/telemetry"
@@ -85,7 +84,7 @@ func (p *BytePlane) FromPlane(src *Plane) *BytePlane {
 // too.
 type BytePool struct {
 	buckets [poolBuckets]freeList[BytePlane]
-	stats   PoolStats
+	stats   poolCounters
 	check   bytePoolChecker
 }
 
@@ -107,8 +106,8 @@ func (p *BytePool) Get(w, h int) *BytePlane {
 	n := w * h
 	idx := bucketIndex(n)
 	if idx < 0 {
-		atomic.AddInt64(&p.stats.Misses, 1)
-		atomic.AddInt64(&p.stats.BytesLive, int64(n))
+		p.stats.misses.Add(1)
+		p.stats.bytesLive.Add(int64(n))
 		if p == DefaultBytePool {
 			cBytePoolMiss.Add(1)
 		}
@@ -117,20 +116,20 @@ func (p *BytePool) Get(w, h int) *BytePlane {
 	bcap := poolBucketCap(idx)
 	pl := p.buckets[idx].pop()
 	if pl == nil {
-		atomic.AddInt64(&p.stats.Misses, 1)
+		p.stats.misses.Add(1)
 		if p == DefaultBytePool {
 			cBytePoolMiss.Add(1)
 		}
 		planeAllocs.Add(1)
 		pl = &BytePlane{Pix: make([]uint8, bcap)}
 	} else {
-		atomic.AddInt64(&p.stats.Hits, 1)
+		p.stats.hits.Add(1)
 		if p == DefaultBytePool {
 			cBytePoolHit.Add(1)
 		}
 		p.check.onGet(pl)
 	}
-	atomic.AddInt64(&p.stats.BytesLive, int64(bcap))
+	p.stats.bytesLive.Add(int64(bcap))
 	pl.W, pl.H = w, h
 	pl.Pix = pl.Pix[:cap(pl.Pix)][:n]
 	return pl
@@ -153,30 +152,24 @@ func (p *BytePool) Put(pl *BytePlane) {
 	if idx >= 0 {
 		delta = int64(c)
 	}
-	atomic.AddInt64(&p.stats.BytesLive, -delta)
+	p.stats.bytesLive.Add(-delta)
 	if idx < 0 {
-		atomic.AddInt64(&p.stats.Drops, 1)
+		p.stats.drops.Add(1)
 		return
 	}
 	p.check.onPut(pl)
 	if !p.buckets[idx].push(pl, freeListLimit(c)) {
 		p.check.onGet(pl) // dropped, not free: forget it
-		atomic.AddInt64(&p.stats.Drops, 1)
+		p.stats.drops.Add(1)
 		return
 	}
-	atomic.AddInt64(&p.stats.Puts, 1)
+	p.stats.puts.Add(1)
 }
 
 // Stats returns a snapshot of the pool's counters (BytesLive in bytes, not
 // float32 elements).
 func (p *BytePool) Stats() PoolStats {
-	return PoolStats{
-		Hits:      atomic.LoadInt64(&p.stats.Hits),
-		Misses:    atomic.LoadInt64(&p.stats.Misses),
-		Puts:      atomic.LoadInt64(&p.stats.Puts),
-		Drops:     atomic.LoadInt64(&p.stats.Drops),
-		BytesLive: atomic.LoadInt64(&p.stats.BytesLive),
-	}
+	return p.stats.snapshot()
 }
 
 // GetBytes returns a dirty w×h byte plane from the default byte pool.

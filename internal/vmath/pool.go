@@ -36,12 +36,12 @@ type Pool struct {
 	// buckets[i] holds planes whose Pix capacity is exactly
 	// poolBucketCap(i) elements.
 	buckets [poolBuckets]freeList[Plane]
-	stats   PoolStats
+	stats   poolCounters
 	check   poolChecker
 }
 
-// PoolStats are the pool's cumulative counters. Read them atomically via
-// Pool.Stats; they are maintained with atomic adds on every Get/Put.
+// PoolStats are a snapshot of a pool's cumulative counters, as returned by
+// Pool.Stats and BytePool.Stats.
 type PoolStats struct {
 	// Hits counts Gets served from a free list.
 	Hits int64
@@ -108,8 +108,8 @@ func (p *Pool) Get(w, h int) *Plane {
 	idx := bucketIndex(n)
 	if idx < 0 {
 		// Too large to pool: exact allocation, never recycled.
-		atomic.AddInt64(&p.stats.Misses, 1)
-		atomic.AddInt64(&p.stats.BytesLive, int64(n)*4)
+		p.stats.misses.Add(1)
+		p.stats.bytesLive.Add(int64(n) * 4)
 		if p == DefaultPool {
 			cPoolMiss.Add(1)
 			cPoolBytesLive.Add(int64(n) * 4)
@@ -120,20 +120,20 @@ func (p *Pool) Get(w, h int) *Plane {
 	bcap := poolBucketCap(idx)
 	pl := p.buckets[idx].pop()
 	if pl == nil {
-		atomic.AddInt64(&p.stats.Misses, 1)
+		p.stats.misses.Add(1)
 		if p == DefaultPool {
 			cPoolMiss.Add(1)
 		}
 		planeAllocs.Add(1)
 		pl = &Plane{Pix: make([]float32, bcap)}
 	} else {
-		atomic.AddInt64(&p.stats.Hits, 1)
+		p.stats.hits.Add(1)
 		if p == DefaultPool {
 			cPoolHit.Add(1)
 		}
 		p.check.onGet(pl)
 	}
-	atomic.AddInt64(&p.stats.BytesLive, int64(bcap)*4)
+	p.stats.bytesLive.Add(int64(bcap) * 4)
 	if p == DefaultPool {
 		cPoolBytesLive.Add(int64(bcap) * 4)
 	}
@@ -168,32 +168,43 @@ func (p *Pool) Put(pl *Plane) {
 	if idx >= 0 {
 		delta = int64(c) * 4
 	}
-	atomic.AddInt64(&p.stats.BytesLive, -delta)
+	p.stats.bytesLive.Add(-delta)
 	if p == DefaultPool {
 		cPoolBytesLive.Add(-delta)
 	}
 	if idx < 0 {
-		atomic.AddInt64(&p.stats.Drops, 1)
+		p.stats.drops.Add(1)
 		return
 	}
 	p.check.onPut(pl)
 	if !p.buckets[idx].push(pl, freeListLimit(c*4)) {
 		p.check.onGet(pl) // dropped, not free: forget it
-		atomic.AddInt64(&p.stats.Drops, 1)
+		p.stats.drops.Add(1)
 		return
 	}
-	atomic.AddInt64(&p.stats.Puts, 1)
+	p.stats.puts.Add(1)
+}
+
+// poolCounters are a pool's live counters, added to on every Get/Put.
+// atomic.Int64 keeps each one 64-bit aligned on 32-bit platforms, where an
+// atomic add on a plain int64 field at this offset in Pool panics.
+type poolCounters struct {
+	hits, misses, puts, drops, bytesLive atomic.Int64
+}
+
+func (c *poolCounters) snapshot() PoolStats {
+	return PoolStats{
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Puts:      c.puts.Load(),
+		Drops:     c.drops.Load(),
+		BytesLive: c.bytesLive.Load(),
+	}
 }
 
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Hits:      atomic.LoadInt64(&p.stats.Hits),
-		Misses:    atomic.LoadInt64(&p.stats.Misses),
-		Puts:      atomic.LoadInt64(&p.stats.Puts),
-		Drops:     atomic.LoadInt64(&p.stats.Drops),
-		BytesLive: atomic.LoadInt64(&p.stats.BytesLive),
-	}
+	return p.stats.snapshot()
 }
 
 // Get returns a dirty w×h plane from the default pool. See Pool.Get.
