@@ -52,11 +52,19 @@ func (c Config) withDefaults() Config {
 	if c.SearchRange <= 0 {
 		c.SearchRange = 15
 	}
+	c.SearchRange = min(c.SearchRange, maxMV)
 	if c.TargetBitrate <= 0 {
 		c.TargetBitrate = 1e6
 	}
 	return c
 }
+
+// maxMV bounds a motion vector component, in pixels. withDefaults caps
+// SearchRange at it and the encoder clamps every vector to ±SearchRange,
+// so no legal stream carries a larger component, nor a delta from its
+// predictor beyond ±2·maxMV; the decoder rejects both. The bound keeps
+// every displaced coordinate far from int overflow on 32-bit platforms.
+const maxMV = 1 << 12
 
 // Slice is an independently decodable group of macroblock rows. One slice is
 // carried in one transport packet; losing a packet loses exactly its rows.
@@ -762,7 +770,16 @@ func (d *Decoder) decodeSlice(s *Slice, out *vmath.Plane) error {
 				if err != nil {
 					return err
 				}
+				// pred is a vector this loop accepted, so the sum of a
+				// bounded delta and pred cannot overflow int, even on a
+				// 32-bit platform.
+				if dx < -2*maxMV || dx > 2*maxMV || dy < -2*maxMV || dy > 2*maxMV {
+					return fmt.Errorf("motion vector delta (%d, %d) beyond ±%d", dx, dy, 2*maxMV)
+				}
 				mv := MV{pred.X + int(dx), pred.Y + int(dy)}
+				if mv.X < -maxMV || mv.X > maxMV || mv.Y < -maxMV || mv.Y > maxMV {
+					return fmt.Errorf("motion vector (%d, %d) beyond ±%d", mv.X, mv.Y, maxMV)
+				}
 				if err := d.decodeInterMB(r, out, cx, cy, mv, s.Q); err != nil {
 					return err
 				}
@@ -871,10 +888,12 @@ func readLevels(r *bits.Reader, levels *[64]int32) error {
 		if err != nil {
 			return err
 		}
-		pos += int(run)
-		if pos >= 64 {
+		// Compared before the add: on a 32-bit platform int(run) can wrap
+		// pos negative.
+		if run >= uint32(64-pos) {
 			return fmt.Errorf("coefficient position overflow")
 		}
+		pos += int(run)
 		levels[zigzag[pos]] = lvl
 		pos++
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nerve/internal/bits"
 	"nerve/internal/video"
 	"nerve/internal/vmath"
 )
@@ -135,6 +136,85 @@ func TestDecodeZeroPlaneAllocsWarm(t *testing.T) {
 		}
 		if (res.Mask == nil) != (c.received == nil) {
 			t.Errorf("%s: mask returned = %v", c.name, res.Mask != nil)
+		}
+	}
+}
+
+// hostileFrame returns a frame of type typ at cfg's size with one slice
+// over every macroblock row, whose payload is what write writes.
+func hostileFrame(cfg Config, typ FrameType, write func(w *bits.Writer)) *EncodedFrame {
+	var w bits.Writer
+	write(&w)
+	rows := (cfg.H + MBSize - 1) / MBSize
+	return &EncodedFrame{W: cfg.W, H: cfg.H, Type: typ,
+		Slices: []Slice{{Type: typ, MBRowCount: rows, Q: 8, Data: w.Bytes()}}}
+}
+
+// writeInterMB writes an inter macroblock with motion vector delta
+// (dx, dy) and no residual.
+func writeInterMB(w *bits.Writer, dx, dy int32) {
+	w.WriteUE(uint32(modeInter))
+	w.WriteSE(dx)
+	w.WriteSE(dy)
+	for range 4 {
+		w.WriteUE(0) // no coefficients in the block
+	}
+}
+
+// TestDecodeRejectsRunPastBlock: a coefficient run of 2^32−1 is an error,
+// on a 32-bit platform too, where int(run) would wrap the coefficient
+// position negative.
+func TestDecodeRejectsRunPastBlock(t *testing.T) {
+	cfg := Config{W: 48, H: 32}
+	ef := hostileFrame(cfg, FrameI, func(w *bits.Writer) {
+		w.WriteUE(uint32(modeIntra))
+		w.WriteUE(1)              // one coefficient
+		w.WriteUE(math.MaxUint32) // its run
+		w.WriteSE(1)              // its level
+	})
+	if _, err := NewDecoder(cfg).Decode(ef, nil); err == nil {
+		t.Fatal("a run past the block decoded without error")
+	}
+}
+
+// TestDecodeBoundsMotionVectors: a vector delta beyond ±2·maxMV, or a
+// predicted sum beyond ±maxMV, is an error — on a 32-bit platform a delta
+// of MaxInt32 would overflow the motion-compensation bounds test — while
+// a vector of exactly ±maxMV decodes. The encoder never searches further.
+func TestDecodeBoundsMotionVectors(t *testing.T) {
+	cfg := Config{W: 48, H: 32}
+	if got := (Config{SearchRange: 1 << 20}).withDefaults().SearchRange; got != maxMV {
+		t.Fatalf("SearchRange 2^20 is used as %d, want the cap %d", got, maxMV)
+	}
+	ref := vmath.NewPlane(cfg.W, cfg.H)
+	for _, c := range []struct {
+		name   string
+		deltas [][2]int32 // per macroblock of the first row
+		ok     bool
+	}{
+		{"delta MaxInt32", [][2]int32{{math.MaxInt32, 0}}, false},
+		{"delta -MaxInt32", [][2]int32{{0, -math.MaxInt32}}, false},
+		{"delta past 2·maxMV", [][2]int32{{2*maxMV + 1, 0}}, false},
+		{"sum past maxMV", [][2]int32{{maxMV, 0}, {1, 0}}, false},
+		{"sum past -maxMV", [][2]int32{{0, -maxMV}, {0, -maxMV}}, false},
+		{"at ±maxMV", [][2]int32{{maxMV, -maxMV}, {-2 * maxMV, 2 * maxMV}, {maxMV, -maxMV}}, true},
+	} {
+		ef := hostileFrame(cfg, FrameP, func(w *bits.Writer) {
+			for _, d := range c.deltas {
+				writeInterMB(w, d[0], d[1])
+			}
+			for range 2*cfg.W/MBSize - len(c.deltas) {
+				w.WriteUE(uint32(modeSkip))
+			}
+		})
+		dec := NewDecoder(cfg)
+		dec.SetReference(ref)
+		res, err := dec.Decode(ef, nil)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+		}
+		if err == nil {
+			vmath.Put(res.Frame)
 		}
 	}
 }

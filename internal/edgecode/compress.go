@@ -56,10 +56,13 @@ func Decompress(data []byte) (*Code, error) {
 		if err != nil {
 			return nil, fmt.Errorf("edgecode: truncated compressed code: %w", err)
 		}
-		pos += int(gap) + 1
-		if pos >= n {
+		// A gap that reaches n or past it is the terminator. The test is
+		// made before the add: on a 32-bit platform int(gap) can wrap pos
+		// negative.
+		if gap >= uint32(n-pos-1) {
 			break
 		}
+		pos += int(gap) + 1
 		c.Bits[pos>>3] |= 1 << (7 - uint(pos&7))
 	}
 	return c, nil

@@ -219,6 +219,22 @@ func TestDecompressErrors(t *testing.T) {
 	}
 }
 
+// TestDecompressHugeGapTerminates: a gap of 2^32−2 reaches past the end
+// of the code, so it is the terminator, on a 32-bit platform as on a 64-bit
+// one, where int(gap) does not wrap pos negative.
+func TestDecompressHugeGapTerminates(t *testing.T) {
+	// Header 8×1, then the Exp-Golomb code of 2^32−2: 31 zero bits, then
+	// the 32 bits of 2^32−1, then one pad bit.
+	payload := []byte{0, 8, 0, 1, 0, 0, 0, 0x01, 0xff, 0xff, 0xff, 0xfe}
+	c, err := Decompress(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.W != 8 || c.H != 1 || c.Ones() != 0 {
+		t.Fatalf("decoded a %dx%d code with %d bits set, want 8x1 with none", c.W, c.H, c.Ones())
+	}
+}
+
 // TestDecompressBoundsHeader: a 5-byte payload whose header declares a
 // 65535×65535 code is rejected before the bitmap is allocated.
 func TestDecompressBoundsHeader(t *testing.T) {

@@ -373,11 +373,13 @@ func (s *Server) step(key string, rate, n int, first bool) ([]byte, int, error) 
 // rungs it fed to chunk 0, since their encoders hold part of a chunk; the
 // plane goes back to the pool on every path.
 //
-// The pass is serial on purpose. Rendering frame i+1 ahead while frame i
-// is encoded (on a goroutine of its own, or as a par.Go task) raised the
-// build's frame rate by a further 10–20%, but it kept both cores busy for
-// the whole build, and the cache hits served beside it got 7–14% slower
-// at the median (perfbench origin-live on a 2-core x86-64 VM).
+// The pass is serial across frames on purpose; within a frame, the render,
+// the extract and each encode run their own loops on the par pool.
+// Rendering frame i+1 ahead while frame i is encoded (on a goroutine of
+// its own, or as a par.Go task) raised the build's frame rate by a further
+// 10–20%, but it kept both cores busy for the whole build, and the cache
+// hits served beside it got 7–14% slower at the median (perfbench
+// origin-live on a 2-core x86-64 VM).
 func (s *Server) pass(m int, feed []int, codes bool) (segs [][]byte, packed []byte, err error) {
 	fpc := s.framesPerChunk()
 	frame := vmath.Get(s.cfg.W, s.cfg.H)

@@ -1,7 +1,8 @@
 // Package par is the shared worker pool behind every per-pixel hot loop in
 // the reproduction: macroblock encoding (internal/codec), resampling
 // (internal/vmath), flow-guided warping (internal/warp), super-resolution
-// (internal/sr) and the experiment harness fan-out (internal/experiments).
+// (internal/sr), the procedural source render (internal/video) and the
+// experiment harness fan-out (internal/experiments).
 //
 // Design constraints, in order:
 //

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"nerve/internal/par"
 	"nerve/internal/vmath"
 )
 
@@ -68,6 +69,50 @@ func TestRenderIntoDirtyMatchesRender(t *testing.T) {
 		for i, v := range dst.Pix {
 			if math.Float32bits(v) != math.Float32bits(want.Pix[i]) {
 				t.Fatalf("t=%d %dx%d: sample %d is %v, Render gives %v", c.t, c.w, c.h, i, v, want.Pix[i])
+			}
+		}
+	}
+}
+
+// TestRenderPoolSizeIndependent renders into NaN-filled planes at pool
+// sizes 1, 2 and 4 and requires Render's output at one worker bit for bit:
+// geometries of one row and one band, a short last band (97 rows), and the
+// play source size, in a noisy category with a spawned object sliding in
+// and, at 161×97, an object whose box straddles a band edge.
+func TestRenderPoolSizeIndependent(t *testing.T) {
+	g := NewGenerator(Categories()[3], 1)
+	const frame = 95
+	sizes := []struct{ w, h int }{{1, 1}, {3, 1}, {161, 97}, {960, 540}}
+
+	// par.ForRows cuts bands of 8 rows.
+	seg, off := g.segment(frame)
+	spawned, straddles := false, false
+	for _, s := range place(g.objects(seg), off, 161, 97) {
+		spawned = spawned || s.o.birth > 0
+		straddles = straddles || s.y0/8 != s.y1/8
+	}
+	if g.Cat.Noise == 0 || !spawned || !straddles {
+		t.Fatalf("frame %d of %s does not cover its cases (noise %v, spawned object %v, box over a band edge %v)",
+			frame, g.Cat.Name, g.Cat.Noise, spawned, straddles)
+	}
+
+	defer par.SetWorkers(1)()
+	want := make([]*vmath.Plane, len(sizes))
+	for i, s := range sizes {
+		want[i] = g.Render(frame, s.w, s.h)
+	}
+	for _, n := range []int{1, 2, 4} {
+		par.SetWorkers(n)
+		for i, s := range sizes {
+			dst := vmath.NewPlane(s.w, s.h)
+			for j := range dst.Pix {
+				dst.Pix[j] = float32(math.NaN())
+			}
+			g.RenderInto(dst, frame)
+			for j, v := range dst.Pix {
+				if math.Float32bits(v) != math.Float32bits(want[i].Pix[j]) {
+					t.Fatalf("%d workers, %dx%d: sample %d is %v, one worker gives %v", n, s.w, s.h, j, v, want[i].Pix[j])
+				}
 			}
 		}
 	}

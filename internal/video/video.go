@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"nerve/internal/par"
 	"nerve/internal/vmath"
 )
 
@@ -380,9 +381,85 @@ func (g *Generator) Render(t, w, h int) *vmath.Plane {
 	return g.RenderInto(vmath.NewPlane(w, h), t)
 }
 
+// sprite is one visible object's state in one frame: its centre, its pixel
+// box clipped to the frame, its rotation and its texture lattices.
+type sprite struct {
+	o              *object
+	ox, oy         float64
+	x0, y0, x1, y1 int
+	cosA, sinA     float64
+	tex1, tex2     lattice
+}
+
+// place returns the sprites of the objects of objs visible at segment
+// offset off in a w×h frame, in index order.
+func place(objs []object, off, w, h int) []sprite {
+	sprites := make([]sprite, 0, len(objs))
+	for i := range objs {
+		o := &objs[i]
+		if off < o.birth {
+			continue
+		}
+		ox, oy := o.pos(off)
+		// Bounding box in pixels (inflate a little for the soft edge).
+		x0 := int((ox - float64(o.rx*1.3)) * float64(w))
+		x1 := int((ox + float64(o.rx*1.3)) * float64(w))
+		y0 := int((oy - float64(o.ry*1.3)) * float64(h))
+		y1 := int((oy + float64(o.ry*1.3)) * float64(h))
+		if x1 < 0 || y1 < 0 || x0 >= w || y0 >= h {
+			continue
+		}
+		s := sprite{o: o, ox: ox, oy: oy,
+			x0: max(x0, 0), y0: max(y0, 0), x1: min(x1, w-1), y1: min(y1, h-1),
+			cosA: math.Cos(o.angle), sinA: math.Sin(o.angle)}
+		s.tex1.fill(o.texSeed, -objLat1, -objLat1, 2*objLat1+1, 2*objLat1+1)
+		s.tex2.fill(o.texSeed^fbmSeed2, -objLat2, -objLat2, 2*objLat2+1, 2*objLat2+1)
+		sprites = append(sprites, s)
+	}
+	return sprites
+}
+
+// paint blends the sprite over rows y0..y1 (inclusive) of its box in out.
+func (s *sprite) paint(out *vmath.Plane, y0, y1 int, texScale float64) {
+	w, h := out.W, out.H
+	o, ox, oy, cosA, sinA := s.o, s.ox, s.oy, s.cosA, s.sinA
+	for py := y0; py <= y1; py++ {
+		ny := float64(py)/float64(h) - oy
+		nySin, nyCos := float64(ny*sinA), float64(ny*cosA)
+		for px := s.x0; px <= s.x1; px++ {
+			nx := float64(px)/float64(w) - ox
+			// Rotate into the ellipse frame.
+			ex := (float64(nx*cosA) + nySin) / o.rx
+			ey := (float64(-nx*sinA) + nyCos) / o.ry
+			d := float64(ex*ex) + float64(ey*ey)
+			if d >= 1 {
+				continue
+			}
+			// Soft edge over the outer 15% of the radius.
+			alpha := 1.0
+			if d > 0.7 {
+				alpha = (1 - d) / 0.3
+			}
+			tx, ty := float64(ex*4), float64(ey*4)
+			n := fbmMix(s.tex1.noise(tx, ty), s.tex2.noise(float64(tx*fbmFreq2), float64(ty*fbmFreq2)))
+			v := o.level + float64(texScale*(n-0.5))
+			idx := py*w + px
+			out.Pix[idx] = float32(float64(float64(out.Pix[idx])*(1-alpha)) + float64(v*alpha))
+		}
+	}
+}
+
 // RenderInto draws frame t into out at out's size and returns out. Every
 // sample is overwritten, so out may be a dirty pooled plane; the result is
 // bit-identical to Render(t, out.W, out.H).
+//
+// The frame-wide state is set up serially: the background's axes and
+// lattices, and each visible object's placement and texture lattices. One
+// par.ForRows pass then takes each band of rows through every stage in
+// turn: background, objects in index order, sensor noise, clamp. A pixel
+// sees the same float operations in the same order as when each stage
+// covers the whole frame before the next, and band boundaries depend only
+// on h, so the frame is the same bits for any pool size.
 func (g *Generator) RenderInto(out *vmath.Plane, t int) *vmath.Plane {
 	w, h := out.W, out.H
 	if len(out.Pix) == 0 {
@@ -423,95 +500,61 @@ func (g *Generator) RenderInto(out *vmath.Plane, t int) *vmath.Plane {
 		cols[px].i1 -= bg1.x0
 		cols[px].i2 -= bg2.x0
 	}
-	for py, r := range rows {
-		a1 := bg1.v[int(r.i1-bg1.y0)*bg1.nx:]
-		b1 := a1[bg1.nx:]
-		a2 := bg2.v[int(r.i2-bg2.y0)*bg2.nx:]
-		b2 := a2[bg2.nx:]
-		line := out.Pix[py*w : (py+1)*w]
-		for px, c := range cols {
-			i, j := int(c.i1), int(c.i2)
-			n1 := lerp(lerp(a1[i], a1[i+1], c.s1), lerp(b1[i], b1[i+1], c.s1), r.s1)
-			n2 := lerp(lerp(a2[j], a2[j+1], c.s2), lerp(b2[j], b2[j+1], c.s2), r.s2)
-			v := c.ramp + r.ramp
-			v += float64(texAmp * (fbmMix(n1, n2) - 0.5))
-			line[px] = float32(v)
-		}
-	}
 
 	// Objects are painted back-to-front in index order.
+	sprites := place(objs, off, w, h)
 	texScale := texAmp * 0.8
-	var tex1, tex2 lattice
-	for i := range objs {
-		o := &objs[i]
-		if off < o.birth {
-			continue
-		}
-		ox, oy := o.pos(off)
-		// Bounding box in pixels (inflate a little for the soft edge).
-		x0 := int((ox - float64(o.rx*1.3)) * float64(w))
-		x1 := int((ox + float64(o.rx*1.3)) * float64(w))
-		y0 := int((oy - float64(o.ry*1.3)) * float64(h))
-		y1 := int((oy + float64(o.ry*1.3)) * float64(h))
-		if x1 < 0 || y1 < 0 || x0 >= w || y0 >= h {
-			continue
-		}
-		if x0 < 0 {
-			x0 = 0
-		}
-		if y0 < 0 {
-			y0 = 0
-		}
-		if x1 > w-1 {
-			x1 = w - 1
-		}
-		if y1 > h-1 {
-			y1 = h - 1
-		}
-		tex1.fill(o.texSeed, -objLat1, -objLat1, 2*objLat1+1, 2*objLat1+1)
-		tex2.fill(o.texSeed^fbmSeed2, -objLat2, -objLat2, 2*objLat2+1, 2*objLat2+1)
-		cosA := math.Cos(o.angle)
-		sinA := math.Sin(o.angle)
-		for py := y0; py <= y1; py++ {
-			ny := float64(py)/float64(h) - oy
-			nySin, nyCos := float64(ny*sinA), float64(ny*cosA)
-			for px := x0; px <= x1; px++ {
-				nx := float64(px)/float64(w) - ox
-				// Rotate into the ellipse frame.
-				ex := (float64(nx*cosA) + nySin) / o.rx
-				ey := (float64(-nx*sinA) + nyCos) / o.ry
-				d := float64(ex*ex) + float64(ey*ey)
-				if d >= 1 {
-					continue
-				}
-				// Soft edge over the outer 15% of the radius.
-				alpha := 1.0
-				if d > 0.7 {
-					alpha = (1 - d) / 0.3
-				}
-				tx, ty := float64(ex*4), float64(ey*4)
-				n := fbmMix(tex1.noise(tx, ty), tex2.noise(float64(tx*fbmFreq2), float64(ty*fbmFreq2)))
-				v := o.level + float64(texScale*(n-0.5))
-				idx := py*w + px
-				out.Pix[idx] = float32(float64(float64(out.Pix[idx])*(1-alpha)) + float64(v*alpha))
-			}
-		}
-	}
 
 	// Sensor noise: deterministic per (seed, t, pixel), two hashUnit(nSeed,
 	// key) draws per pixel with the seed's round of the chain done once.
-	if g.Cat.Noise > 0 {
-		nSeed := splitmix64(g.Seed ^ uint64(t)*0x6c8e)
-		hs := splitmix64(hashInit ^ nSeed)
-		amp := float32(g.Cat.Noise)
-		for i := range out.Pix {
-			// Approximate Gaussian via sum of two uniforms.
-			u1 := unitFloat(splitmix64(hs ^ uint64(i)))
-			u2 := unitFloat(splitmix64(hs ^ uint64(i) ^ 0xffff0000))
-			out.Pix[i] += float32(float32(amp*float32(u1+u2-1)) * 2)
+	noisy := g.Cat.Noise > 0
+	nSeed := splitmix64(g.Seed ^ uint64(t)*0x6c8e)
+	hs := splitmix64(hashInit ^ nSeed)
+	amp := float32(g.Cat.Noise)
+
+	par.ForRows(h, func(y0, y1 int) {
+		// Background.
+		for py := y0; py < y1; py++ {
+			r := rows[py]
+			a1 := bg1.v[int(r.i1-bg1.y0)*bg1.nx:]
+			b1 := a1[bg1.nx:]
+			a2 := bg2.v[int(r.i2-bg2.y0)*bg2.nx:]
+			b2 := a2[bg2.nx:]
+			line := out.Pix[py*w : (py+1)*w]
+			for px, c := range cols {
+				i, j := int(c.i1), int(c.i2)
+				n1 := lerp(lerp(a1[i], a1[i+1], c.s1), lerp(b1[i], b1[i+1], c.s1), r.s1)
+				n2 := lerp(lerp(a2[j], a2[j+1], c.s2), lerp(b2[j], b2[j+1], c.s2), r.s2)
+				v := c.ramp + r.ramp
+				v += float64(texAmp * (fbmMix(n1, n2) - 0.5))
+				line[px] = float32(v)
+			}
 		}
-	}
-	return out.Clamp255()
+		// Objects, clipped to the band.
+		for i := range sprites {
+			s := &sprites[i]
+			s.paint(out, max(s.y0, y0), min(s.y1, y1-1), texScale)
+		}
+		// Sensor noise, keyed by the flat pixel index.
+		if noisy {
+			for i := y0 * w; i < y1*w; i++ {
+				// Approximate Gaussian via sum of two uniforms.
+				u1 := unitFloat(splitmix64(hs ^ uint64(i)))
+				u2 := unitFloat(splitmix64(hs ^ uint64(i) ^ 0xffff0000))
+				out.Pix[i] += float32(float32(amp*float32(u1+u2-1)) * 2)
+			}
+		}
+		// Clamp to [0, 255] as Plane.Clamp255 does.
+		band := out.Pix[y0*w : y1*w]
+		for i, v := range band {
+			if v < 0 {
+				band[i] = 0
+			} else if v > 255 {
+				band[i] = 255
+			}
+		}
+	})
+	return out
 }
 
 // ClipSource identifies one dataset clip: a category plus a creator seed.
