@@ -89,12 +89,12 @@ type ClientConfig struct {
 	EnableRecovery bool
 	// EnableSR turns super-resolution on.
 	EnableSR bool
-	// Tier selects the kernel tier every frame runs in: TierFloat (the
-	// zero value) or TierFixed; any other value is an error. The fixed
-	// tier runs the integer/SWAR kernels end to end: the recovery model's
-	// byte-plane warp path (recovery.Recoverer.SetFixedPoint) and the
-	// byte-plane SR head (sr.NewFast), which is a bilinear upsample, at a
-	// fraction of the one-core frame time.
+	// Tier must be TierFixed, the zero value; any other value is an
+	// error. Every client runs the byte path: the recovery model's byte
+	// warp stage and the byte-plane SR head (sr.NewFast), which is a
+	// bilinear upsample.
+	//
+	// Deprecated: see Tier.
 	Tier Tier
 	// Device is the cost model used for the latency/energy accounting
 	// (default iPhone 12).
@@ -146,15 +146,10 @@ type FrameResult struct {
 	// ProcessSeconds is the modelled device time spent on the frame
 	// (decode + recovery/SR inference).
 	ProcessSeconds float64
-	// Tier is the kernel tier the frame ran in: the client's
-	// ClientConfig.Tier.
+	// Tier is always TierFixed, the zero value.
+	//
+	// Deprecated: see Tier.
 	Tier Tier
-}
-
-// upscaler is the SR stage contract both tiers satisfy (sr.SuperResolver
-// and sr.FastUpscaler).
-type upscaler interface {
-	UpscaleInto(dst, lr *vmath.Plane) *vmath.Plane
 }
 
 // Client is the mobile client engine: decoder + recovery + SR with
@@ -165,10 +160,10 @@ type Client struct {
 	rec *recovery.Recoverer
 	ext *edgecode.Extractor // to derive codes of locally produced frames
 
-	// sr is the tier's SR head, nil when the client does not super-
+	// sr is the byte SR head, nil when the client does not super-
 	// resolve. It is immutable after NewClient, so stageEnhance may run it
 	// on a pool worker while the next ingest proceeds.
-	sr upscaler
+	sr *sr.FastUpscaler
 
 	prevOut   *vmath.Plane // previous displayed frame at transmission res
 	prevPrev  *vmath.Plane
@@ -190,8 +185,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Device == nil {
 		cfg.Device = device.IPhone12()
 	}
-	if cfg.Tier != TierFloat && cfg.Tier != TierFixed {
-		return nil, fmt.Errorf("core: unknown kernel tier %v", cfg.Tier)
+	if cfg.Tier != TierFixed {
+		return nil, fmt.Errorf("core: kernel tier %v: only the byte path (TierFixed) exists", cfg.Tier)
 	}
 	c := &Client{
 		cfg:     cfg,
@@ -200,15 +195,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		ext:     edgecode.NewExtractor(0, 0),
 		classes: make(map[FrameClass]int),
 	}
-	fixed := cfg.Tier == TierFixed
-	c.rec.SetFixedPoint(fixed)
 	if cfg.EnableSR && (cfg.OutW != cfg.W || cfg.OutH != cfg.H) {
-		srCfg := sr.Config{OutW: cfg.OutW, OutH: cfg.OutH}
-		if fixed {
-			c.sr = sr.NewFast(srCfg)
-		} else {
-			c.sr = sr.New(srCfg)
-		}
+		c.sr = sr.NewFast(sr.Config{OutW: cfg.OutW, OutH: cfg.OutH})
 	}
 	return c, nil
 }
@@ -282,7 +270,7 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 		return nil, nil, fmt.Errorf("core: frame %d: %dx%d code with %d bitmap bytes, want %dx%d",
 			c.frameIdx, code.W, code.H, len(code.Bits), c.ext.W, c.ext.H)
 	}
-	res := &FrameResult{Index: c.frameIdx, Tier: c.cfg.Tier}
+	res := &FrameResult{Index: c.frameIdx}
 	dev := c.cfg.Device
 	c.total++
 
@@ -350,11 +338,6 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	}
 	c.frameIdx++
 	c.classes[res.Class]++
-	if res.Tier == TierFixed {
-		cTierFixedFrames.Add(1)
-	} else {
-		cTierFloatFrames.Add(1)
-	}
 	return res, outTx, nil
 }
 

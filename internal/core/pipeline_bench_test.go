@@ -13,7 +13,7 @@ import (
 // complete frame loss in five (recovered from the point code), measured
 // per displayed frame. This is the real-time claim of §7 — the gated CI
 // budget is the 33 ms frame deadline at 30 FPS on a single core.
-func benchmarkPipeline1080p(b *testing.B, tier Tier, workers int) {
+func benchmarkPipeline1080p(b *testing.B, workers int) {
 	defer par.SetWorkers(workers)()
 	const w, h = 960, 540
 	srv, err := NewServer(ServerConfig{W: w, H: h, TargetBitrate: 6e6, GOP: 60, PacketPayload: 1200})
@@ -31,7 +31,6 @@ func benchmarkPipeline1080p(b *testing.B, tier Tier, workers int) {
 	cli, err := NewClient(ClientConfig{
 		W: w, H: h, OutW: 1920, OutH: 1080,
 		EnableRecovery: true, EnableSR: true,
-		Tier: tier,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -68,17 +67,13 @@ func benchmarkPipeline1080p(b *testing.B, tier Tier, workers int) {
 	}
 }
 
-// BenchmarkPipelineFrame1080p is the gated configuration: fixed-point
-// kernel tier, single worker — the whole decode→recover→SR frame as pure
+// BenchmarkPipelineFrame1080p is the gated configuration: the byte path
+// on a single worker — the whole decode→recover→SR frame as pure
 // one-core compute (par.Go degrades to inline, so this is also the
 // sequential schedule). CI fails if ns/op exceeds the 33 ms deadline
 // (benchjson -ceiling-ms).
-func BenchmarkPipelineFrame1080p(b *testing.B) { benchmarkPipeline1080p(b, TierFixed, 1) }
+func BenchmarkPipelineFrame1080p(b *testing.B) { benchmarkPipeline1080p(b, 1) }
 
 // BenchmarkPipelineFrame1080pOverlap shows the pipelining win: same load
 // with two workers, enhance(n) overlapped with ingest(n+1).
-func BenchmarkPipelineFrame1080pOverlap(b *testing.B) { benchmarkPipeline1080p(b, TierFixed, 2) }
-
-// BenchmarkPipelineFrame1080pFloat is the float-tier reference point for
-// the fixed-point speedup.
-func BenchmarkPipelineFrame1080pFloat(b *testing.B) { benchmarkPipeline1080p(b, TierFloat, 1) }
+func BenchmarkPipelineFrame1080pOverlap(b *testing.B) { benchmarkPipeline1080p(b, 2) }

@@ -89,27 +89,23 @@ func runPipelined(t *testing.T, cfg ClientConfig, sfs []*ServerFrame) []*FrameRe
 // TestPipelinedMatchesSequential is the correctness contract of the frame
 // graph: overlapping enhance(n) with ingest(n+1) must change nothing — every
 // displayed frame bit-identical to the sequential client, same classes,
-// same indices — for both kernel tiers and for pool sizes 1 (where par.Go
-// degrades to inline) and >1 (real overlap).
+// same indices — for pool sizes 1 (where par.Go degrades to inline) and
+// >1 (real overlap).
 func TestPipelinedMatchesSequential(t *testing.T) {
 	const frames = 14
 	sfs := pipelineServerFrames(t, frames)
 	for _, tc := range []struct {
 		name    string
-		tier    Tier
 		workers int
 	}{
-		{"float/1worker", TierFloat, 1},
-		{"float/4workers", TierFloat, 4},
-		{"fixed/1worker", TierFixed, 1},
-		{"fixed/4workers", TierFixed, 4},
+		{"fixed/1worker", 1},
+		{"fixed/4workers", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer par.SetWorkers(tc.workers)()
 			cfg := ClientConfig{
 				W: tw, H: th, OutW: tw * 2, OutH: th * 2,
 				EnableRecovery: true, EnableSR: true,
-				Tier: tc.tier,
 			}
 			seq := runSequential(t, cfg, sfs)
 			pip := runPipelined(t, cfg, sfs)
@@ -209,7 +205,7 @@ func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
 	sfs := pipelineServerFrames(t, frames)
 	cli, err := NewClient(ClientConfig{
 		W: tw, H: th, OutW: tw * 2, OutH: th * 2,
-		EnableRecovery: true, EnableSR: true, Tier: TierFixed,
+		EnableRecovery: true, EnableSR: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,27 +1,29 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"nerve/internal/telemetry"
-)
-
-// Tier selects the client's kernel tier.
+// Tier names the client's kernel tier. There is one: every client runs
+// the byte path, and every frame reports TierFixed.
+//
+// Deprecated: Tier, TierFixed, TierFloat, TierAuto, ClientConfig.Tier and
+// FrameResult.Tier remain only because perfbench reads them; ROADMAP.md
+// item 1 deletes them.
 type Tier int
 
 const (
-	// TierFloat pins the float32 kernels for every frame — the reference
-	// tier and the zero value of ClientConfig.Tier.
-	TierFloat Tier = iota
-	// TierFixed pins the integer/SWAR kernel tier for every frame.
-	TierFixed
+	// TierFixed is the byte path and the zero value of ClientConfig.Tier.
+	//
+	// Deprecated: see Tier.
+	TierFixed Tier = iota
+	// TierFloat names the deleted float tier; NewClient rejects it.
+	//
+	// Deprecated: see Tier.
+	TierFloat
 )
 
-// TierAuto is the byte path: a TierAuto client is a TierFixed client, and
-// its frames report TierFixed.
+// TierAuto is TierFixed.
 //
-// Deprecated: use TierFixed. TierAuto once named a per-frame float↔fixed
-// governor; it remains only as an alias until its last callers move.
+// Deprecated: see Tier.
 const TierAuto = TierFixed
 
 func (t Tier) String() string {
@@ -34,10 +36,3 @@ func (t Tier) String() string {
 		return fmt.Sprintf("Tier(%d)", int(t))
 	}
 }
-
-// Per-session tier accounting (OBSERVABILITY.md): every frame counts once,
-// under the tier its client is pinned to.
-var (
-	cTierFloatFrames = telemetry.NewCounter("tier.float_frames")
-	cTierFixedFrames = telemetry.NewCounter("tier.fixed_frames")
-)

@@ -7,40 +7,40 @@ import (
 	"nerve/internal/vmath"
 )
 
-// TestTierAutoFrameAccounting: a pipelined TierAuto client is the byte
-// path — every frame reports TierFixed and displays bit-identical to a
-// TierFixed client's, at every pool size.
-func TestTierAutoFrameAccounting(t *testing.T) {
+// sameBytePathFrames runs pipelined clients with tier and with TierFixed
+// over the same frames at each pool size: every frame of the first must
+// report TierFixed and display bit-identical to the second's.
+func sameBytePathFrames(t *testing.T, tier Tier, workers ...int) {
+	t.Helper()
 	const frames = 14
 	sfs := pipelineServerFrames(t, frames)
-	cfg := func(tier Tier) ClientConfig {
-		return ClientConfig{
-			W: tw, H: th, OutW: tw * 2, OutH: th * 2,
-			EnableRecovery: true, EnableSR: true,
-			Tier: tier,
-		}
+	cfg := ClientConfig{
+		W: tw, H: th, OutW: tw * 2, OutH: th * 2,
+		EnableRecovery: true, EnableSR: true,
 	}
-	for _, workers := range []int{1, 2, 4} {
-		restore := par.SetWorkers(workers)
-		auto := runPipelined(t, cfg(TierAuto), sfs)
-		fixed := runPipelined(t, cfg(TierFixed), sfs)
+	for _, n := range workers {
+		restore := par.SetWorkers(n)
+		cfg.Tier = tier
+		got := runPipelined(t, cfg, sfs)
+		cfg.Tier = TierFixed
+		fixed := runPipelined(t, cfg, sfs)
 		restore()
-		if len(auto) != frames || len(fixed) != frames {
-			t.Fatalf("workers=%d: %d auto and %d fixed frames, want %d", workers, len(auto), len(fixed), frames)
+		if len(got) != frames || len(fixed) != frames {
+			t.Fatalf("workers=%d: %d %v and %d fixed frames, want %d", n, len(got), tier, len(fixed), frames)
 		}
-		for i := range auto {
-			a, f := auto[i], fixed[i]
+		for i := range got {
+			a, f := got[i], fixed[i]
 			if a.Tier != TierFixed {
-				t.Fatalf("workers=%d: frame %d ran in tier %v, want %v", workers, i, a.Tier, TierFixed)
+				t.Fatalf("workers=%d: frame %d ran in tier %v, want %v", n, i, a.Tier, TierFixed)
 			}
 			if a.Index != f.Index || a.Class != f.Class {
-				t.Fatalf("workers=%d: frame %d: auto (idx %d, %v) vs fixed (idx %d, %v)",
-					workers, i, a.Index, a.Class, f.Index, f.Class)
+				t.Fatalf("workers=%d: frame %d: %v (idx %d, %v) vs fixed (idx %d, %v)",
+					n, i, tier, a.Index, a.Class, f.Index, f.Class)
 			}
 			for j := range a.Frame.Pix {
 				if a.Frame.Pix[j] != f.Frame.Pix[j] {
 					t.Fatalf("workers=%d: frame %d: pixel %d differs (%v vs %v)",
-						workers, i, j, a.Frame.Pix[j], f.Frame.Pix[j])
+						n, i, j, a.Frame.Pix[j], f.Frame.Pix[j])
 				}
 			}
 			vmath.Put(a.Frame)
@@ -49,10 +49,25 @@ func TestTierAutoFrameAccounting(t *testing.T) {
 	}
 }
 
-// TestNewClientRejectsUnknownTier: a Tier that is neither TierFloat nor
-// TierFixed is a configuration error, not a silently chosen head.
+// TestZeroTierIsBytePath: a ClientConfig that sets no Tier is the byte
+// path — every frame reports TierFixed and displays bit-identical to an
+// explicit TierFixed client's.
+func TestZeroTierIsBytePath(t *testing.T) {
+	var zero ClientConfig
+	sameBytePathFrames(t, zero.Tier, 1, 4)
+}
+
+// TestTierAutoFrameAccounting: a pipelined TierAuto client is the byte
+// path, at every pool size.
+func TestTierAutoFrameAccounting(t *testing.T) {
+	sameBytePathFrames(t, TierAuto, 1, 2, 4)
+}
+
+// TestNewClientRejectsUnknownTier: any Tier but TierFixed, the deleted
+// float tier included, is a configuration error, not a silently chosen
+// head.
 func TestNewClientRejectsUnknownTier(t *testing.T) {
-	for _, tier := range []Tier{-1, TierFixed + 1} {
+	for _, tier := range []Tier{-1, TierFloat, TierFloat + 1} {
 		cli, err := NewClient(ClientConfig{W: tw, H: th, Tier: tier})
 		if err == nil || cli != nil {
 			t.Fatalf("NewClient(Tier: %v) = (%v, %v), want an error", tier, cli, err)

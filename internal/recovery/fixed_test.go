@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"math"
 	"testing"
 
 	"nerve/internal/codec"
@@ -11,59 +10,11 @@ import (
 	"nerve/internal/vmath"
 )
 
-// chainOutputs runs an n-step hinted recovery chain and returns the
-// recovered frames plus their mean PSNR against ground truth.
-func chainOutputs(t *testing.T, fixed bool, steps int) ([]*vmath.Plane, float64) {
-	t.Helper()
-	g := video.NewGenerator(video.Categories()[2], 7)
-	ext := edgecode.NewExtractor(0, 0)
-	r := New(Config{OutW: tw, OutH: th})
-	r.SetFixedPoint(fixed)
-	prevPrev := g.Render(38, tw, th)
-	prev := g.Render(39, tw, th)
-	prevCode := ext.Extract(prev)
-	var outs []*vmath.Plane
-	var s metrics.Series
-	for k := 0; k < steps; k++ {
-		truth := g.Render(40+k, tw, th)
-		curCode := ext.Extract(truth)
-		out := r.Recover(Input{Prev: prev, PrevPrev: prevPrev, PrevCode: prevCode, CurCode: curCode})
-		prevCode = curCode
-		s.ObserveFrames(truth, out)
-		outs = append(outs, out)
-		prevPrev = prev
-		prev = out
-	}
-	return outs, s.MeanPSNR()
-}
-
-// TestFixedPointHintedParity: the fixed tier must track the float tier
-// through a multi-step recovery chain — same mean quality (within 0.5 dB)
-// and small per-pixel drift (the tiers' kernels differ by ≤1 LSB per
-// stage, but chained recoveries compound through flow decisions, so the
-// bound is on image-level agreement, not bit-exactness).
-func TestFixedPointHintedParity(t *testing.T) {
-	const steps = 6
-	floatOuts, floatPSNR := chainOutputs(t, false, steps)
-	fixedOuts, fixedPSNR := chainOutputs(t, true, steps)
-	t.Logf("PSNR vs truth: float=%.2f fixed=%.2f", floatPSNR, fixedPSNR)
-	if math.Abs(floatPSNR-fixedPSNR) > 0.5 {
-		t.Fatalf("tier quality diverges: float %.2f dB vs fixed %.2f dB", floatPSNR, fixedPSNR)
-	}
-	for k := range floatOuts {
-		mae := vmath.MAE(floatOuts[k], fixedOuts[k])
-		if mae > 3 {
-			t.Fatalf("step %d: tiers drift apart, MAE %.2f > 3 grey levels", k, mae)
-		}
-	}
-}
-
-// TestFixedPointExtrapolatedRuns covers the no-code ablation under the
-// fixed tier (byte flow + byte warp with no hint fusion).
+// TestFixedPointExtrapolatedRuns covers the no-code ablation (byte flow +
+// byte warp with no hint fusion).
 func TestFixedPointExtrapolatedRuns(t *testing.T) {
 	g := video.NewGenerator(video.Categories()[2], 8)
 	r := New(Config{OutW: tw, OutH: th})
-	r.SetFixedPoint(true)
 	prevPrev := g.Render(10, tw, th)
 	prev := g.Render(11, tw, th)
 	truth := g.Render(12, tw, th)
@@ -73,14 +24,13 @@ func TestFixedPointExtrapolatedRuns(t *testing.T) {
 	}
 }
 
-// TestFixedPointZeroPlaneAllocsWarm: a warmed fixed-tier Recoverer must run
-// entirely on pooled planes (byte shadows included — BytePool misses count
+// TestFixedPointZeroPlaneAllocsWarm: a warmed Recoverer must run entirely
+// on pooled planes (byte shadows included — BytePool misses count
 // into PlaneAllocs too).
 func TestFixedPointZeroPlaneAllocsWarm(t *testing.T) {
 	g := video.NewGenerator(video.Categories()[2], 9)
 	ext := edgecode.NewExtractor(0, 0)
 	r := New(Config{OutW: tw, OutH: th})
-	r.SetFixedPoint(true)
 	prevPrev := g.Render(20, tw, th)
 	prev := g.Render(21, tw, th)
 	prevCode := ext.Extract(prev)
@@ -108,16 +58,17 @@ func TestFixedPointZeroPlaneAllocsWarm(t *testing.T) {
 		step(k)
 	}
 	if d := vmath.PlaneAllocs() - before; d != 0 {
-		t.Fatalf("warm fixed-tier recovery allocated %d planes over 6 frames, want 0", d)
+		t.Fatalf("warm recovery allocated %d planes over 6 frames, want 0", d)
 	}
 }
 
-func benchmarkRecoverHintedTier(b *testing.B, fixed bool) {
+// BenchmarkRecoverHintedFixed540p times hinted recovery of a category-2
+// raw render at 960×540.
+func BenchmarkRecoverHintedFixed540p(b *testing.B) {
 	const w, h = 960, 540
 	g := video.NewGenerator(video.Categories()[2], 10)
 	ext := edgecode.NewExtractor(0, 0)
 	r := New(Config{OutW: w, OutH: h})
-	r.SetFixedPoint(fixed)
 	prevPrev := g.Render(30, w, h)
 	prev := g.Render(31, w, h)
 	prevCode := ext.Extract(prev)
@@ -131,11 +82,8 @@ func benchmarkRecoverHintedTier(b *testing.B, fixed bool) {
 	}
 }
 
-func BenchmarkRecoverHintedFixed540p(b *testing.B) { benchmarkRecoverHintedTier(b, true) }
-func BenchmarkRecoverHintedFloat540p(b *testing.B) { benchmarkRecoverHintedTier(b, false) }
-
-// BenchmarkRecoverPartialFixed540p times the fixed-tier recovery of a
-// partially received frame in the situation play-lossy produces: GamePlay
+// BenchmarkRecoverPartialFixed540p times the recovery of a partially
+// received frame in the situation play-lossy produces: GamePlay
 // at 960×540 through the codec at 6 Mb/s, a whole frame lost and
 // recovered, and the next frame decoded against that recovered reference
 // with the second half of its slices dropped. The timed call recovers
@@ -151,7 +99,6 @@ func BenchmarkRecoverPartialFixed540p(b *testing.B) {
 	dec := codec.NewDecoder(codec.Config{W: w, H: h})
 	ext := edgecode.NewExtractor(0, 0)
 	r := New(Config{OutW: w, OutH: h})
-	r.SetFixedPoint(true)
 	var prev, prevPrev *vmath.Plane
 	var prevCode *edgecode.Code
 	for k := 0; k < lost; k++ {

@@ -13,15 +13,17 @@
 //     edge-guided diffusion steered by the current code, which tells the
 //     client where contours of the unseen content lie;
 //  3. enhance — the filled frame is blended with the decoder-side
-//     temporal history state H where the warp had no source. The float
-//     tier also sharpens it to compensate for the work-resolution
-//     downsampling; the fixed tier does not sharpen (finishFixed).
+//     temporal history state H where the warp had no source, on bytes,
+//     and resized to output resolution (finish). It is not sharpened.
 //
 // Two ablations used throughout the evaluation are provided: prediction
 // without the code (flow extrapolated from the two previous frames, as in
 // classical video prediction) and plain frame reuse.
 //
-// All per-frame intermediates live in the vmath plane pool, so a warmed-up
+// The area-bound stages (work-resolution resampling, block flow, the
+// backward warp, the finish) run on byte planes; the mismatch and inpaint
+// branches run on float planes at work resolution. All per-frame
+// intermediates live in the vmath plane pool, so a warmed-up
 // Recoverer performs no plane allocations. Planes returned by Recover and
 // Reuse are pool-backed and owned by the caller.
 package recovery
@@ -68,9 +70,6 @@ const (
 	confThreshold = 0.35
 	// inpaintIters is the number of diffusion iterations.
 	inpaintIters = 40
-	// historyWeight blends the temporal state H into low-confidence
-	// output.
-	historyWeight = 0.15
 	// pixelSpan is the number of pixels per pool task in the per-pixel
 	// passes: a constant, so span boundaries depend only on the plane
 	// size.
@@ -102,10 +101,8 @@ type Input struct {
 // across calls; feed frames in playout order and Reset at scene changes or
 // stream restarts.
 type Recoverer struct {
-	cfg      Config
-	fixed    bool             // integer tier; see SetFixedPoint
-	history  *vmath.Plane     // H at work resolution; persistent pooled plane
-	historyB *vmath.BytePlane // fixed-tier H; see finishFixed
+	cfg     Config
+	history *vmath.BytePlane // H at work resolution; see finish
 
 	// Per-frame scratch reused across calls (never escapes).
 	holes   []inpaintHole
@@ -115,11 +112,9 @@ type Recoverer struct {
 	mismB   []bool
 	mismC   []bool
 
-	// prevWork/prevWorkB hold I_{t-1} at work resolution between
-	// prepPrevWork and warpPrev within one Recover call (exactly one is
-	// non-nil depending on the tier; see fixed.go).
-	prevWork  *vmath.Plane
-	prevWorkB *vmath.BytePlane
+	// prevWork holds I_{t-1} at work resolution between prepPrevWork and
+	// warpPrev within one Recover call (see fixed.go).
+	prevWork *vmath.BytePlane
 }
 
 // New returns a Recoverer for the configuration.
@@ -130,34 +125,16 @@ func New(cfg Config) *Recoverer {
 // Config returns the effective configuration (defaults applied).
 func (r *Recoverer) Config() Config { return r.cfg }
 
-// SetFixedPoint selects the kernel tier for the following calls (the
-// float tier until it is first called). The integer tier runs the heavy
-// kernels on bytes: work-resolution resampling, SWAR-SAD block flow
-// (flow.EstimateBytes), the Q15 SWAR backward warp
-// (warp.BackwardBytesInto) and a byte finish (finishFixed). The
-// mismatch/inpaint branches stay float on the work plane. The tiers
-// produce near-identical output (TestFixedPointHintedParity). The flow
-// search, inpaint and per-pixel passes run on the par pool, with the
-// same bits at every pool size. In play-lossy (960×540, 2-core x86-64
-// container, perfbench traced at seed 1 for 20 s, medians of 5 runs) a
-// fixed-tier call takes a median of about 19 ms for a lost frame (p99
-// about 27 ms over 31 calls) and 20 ms for a partially received one (p99
-// about 26 ms over 15 calls).
+// SetFixedPoint does nothing: every call runs on the byte path.
 //
-// The adaptive client flips the tier per frame under deadline pressure.
-// It is safe at any frame boundary: the float and byte tiers keep
-// separate temporal history (history/historyB) and prev-work caches, each
-// re-seeded lazily on the first frame its tier runs, so a switch never
-// reads state written in the other tier's numeric domain. Not safe
-// concurrently with Recover.
-func (r *Recoverer) SetFixedPoint(on bool) { r.fixed = on }
+// Deprecated: kept only because perfbench's layer replay calls it (always
+// with true); ROADMAP.md item 1 deletes that call and this method.
+func (r *Recoverer) SetFixedPoint(bool) {}
 
 // Reset clears the temporal history state.
 func (r *Recoverer) Reset() {
-	vmath.Put(r.history)
+	vmath.PutBytes(r.history)
 	r.history = nil
-	vmath.PutBytes(r.historyB)
-	r.historyB = nil
 }
 
 // Reuse is the baseline that simply replays the previous frame. The result
@@ -173,7 +150,7 @@ func (r *Recoverer) Reuse(prev *vmath.Plane) *vmath.Plane {
 // The returned plane is pool-backed and owned by the caller; the Recoverer
 // never retains a reference to it. Its pixels lie in [0, 255] whatever
 // the range of Prev and Part: each branch clamps what it makes, and the
-// fixed tier's finish makes bytes, so it needs no full-frame clamp.
+// finish makes bytes, so it needs no full-frame clamp.
 func (r *Recoverer) Recover(in Input) *vmath.Plane {
 	defer telemetry.Start(telemetry.StageRecovery).Stop()
 	if in.Prev == nil {
@@ -258,20 +235,13 @@ func (r *Recoverer) recoverHinted(in Input) *vmath.Plane {
 	// as known pixels so diffusion grows from truth.
 	r.overlayPartWork(warped, valid, in)
 
-	// Inpaint holes guided by the current code's contours, then enhance.
+	// Inpaint holes guided by the current code's contours, then finish.
 	guide := in.CurCode.EdgeGuide(cfg.WorkW, cfg.WorkH)
 	filled := r.inpaint(warped, valid, guide, inpaintIters)
 	vmath.Put(guide)
 	vmath.Put(warped)
-	var res *vmath.Plane
-	if r.fixed {
-		res = r.finishFixed(filled, valid)
-		vmath.Put(filled)
-	} else {
-		out := r.enhance(filled, valid)
-		res = r.resizeOut(out).Clamp255()
-		vmath.Put(out)
-	}
+	res := r.finish(filled, valid)
+	vmath.Put(filled)
 	vmath.Put(valid)
 	return res
 }
@@ -460,52 +430,10 @@ func (r *Recoverer) recoverExtrapolated(in Input) *vmath.Plane {
 	r.overlayPartWork(warped, valid, in)
 	filled := r.inpaint(warped, valid, nil, inpaintIters)
 	vmath.Put(warped)
-	var res *vmath.Plane
-	if r.fixed {
-		res = r.finishFixed(filled, valid)
-		vmath.Put(filled)
-	} else {
-		out := r.enhance(filled, valid)
-		res = r.resizeOut(out).Clamp255()
-		vmath.Put(out)
-	}
+	res := r.finish(filled, valid)
+	vmath.Put(filled)
 	vmath.Put(valid)
 	return res
-}
-
-// enhance applies the enhancement branch in place on img: a light unsharp
-// to recover the detail lost to work-resolution processing (scaled by how
-// much resolution the work stage actually gave up), plus temporal blending
-// with the history state H in low-validity regions. It updates H and
-// returns img.
-func (r *Recoverer) enhance(img, valid *vmath.Plane) *vmath.Plane {
-	// No downsampling loss to compensate when work == output resolution.
-	amount := 0.25 * (float64(r.cfg.OutH)/float64(r.cfg.WorkH) - 1)
-	if amount > 0.35 {
-		amount = 0.35
-	}
-	out := img
-	if amount > 0.01 {
-		// UnsharpMaskInto materialises the blur first, so dst may alias src.
-		vmath.UnsharpMaskInto(out, img, 1.0, amount)
-	}
-	// Blend with history where the warp had no reliable source: the
-	// history carries content diffusion alone cannot invent.
-	if r.history != nil && r.history.W == out.W && r.history.H == out.H {
-		for i := range out.Pix {
-			if valid.Pix[i] < 0.5 {
-				out.Pix[i] = out.Pix[i] + historyWeight*(r.history.Pix[i]-out.Pix[i])
-			}
-		}
-	}
-	// H ← EMA of recovered frames, held in a persistent pooled plane.
-	if r.history == nil || r.history.W != out.W || r.history.H != out.H {
-		vmath.Put(r.history)
-		r.history = vmath.Get(out.W, out.H).CopyFrom(out)
-	} else {
-		vmath.Lerp(r.history, r.history, out, 0.6)
-	}
-	return out
 }
 
 // overridePartial pastes received content, clamped to [0, 255], over the

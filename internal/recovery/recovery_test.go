@@ -159,10 +159,10 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestOutputInRange: Recover's output stays in [0, 255] on both tiers and
-// in every mode, even when Prev, PrevPrev and Part carry pixels outside
-// that range. The fixed tier has no full-frame clamp: its finish makes
-// bytes, and only the pasted Part pixels and the reuse resize are clamped.
+// TestOutputInRange: Recover's output stays in [0, 255] in every mode,
+// even when Prev, PrevPrev and Part carry pixels outside that range.
+// Recover has no full-frame clamp: its finish makes bytes, and only the
+// pasted Part pixels and the reuse resize are clamped.
 func TestOutputInRange(t *testing.T) {
 	g := video.NewGenerator(video.Categories()[3], 9)
 	ext := edgecode.NewExtractor(0, 0)
@@ -193,18 +193,15 @@ func TestOutputInRange(t *testing.T) {
 		"reuse":                {Prev: prev},
 		"reuse-partial":        {Prev: prev, Part: part, PartMask: mask},
 	}
-	for _, fixed := range []bool{false, true} {
-		for name, in := range modes {
-			r := New(Config{OutW: tw, OutH: th})
-			r.SetFixedPoint(fixed)
-			for k := 0; k < 2; k++ { // the second call also blends the history
-				out := r.Recover(in)
-				if min, max := out.MinMax(); min < 0 || max > 255 {
-					t.Fatalf("fixed=%v %s call %d: output out of range: %v..%v", fixed, name, k, min, max)
-				}
-				if out.W != tw || out.H != th {
-					t.Fatalf("fixed=%v %s: geometry %dx%d", fixed, name, out.W, out.H)
-				}
+	for name, in := range modes {
+		r := New(Config{OutW: tw, OutH: th})
+		for k := 0; k < 2; k++ { // the second call also blends the history
+			out := r.Recover(in)
+			if min, max := out.MinMax(); min < 0 || max > 255 {
+				t.Fatalf("%s call %d: output out of range: %v..%v", name, k, min, max)
+			}
+			if out.W != tw || out.H != th {
+				t.Fatalf("%s: geometry %dx%d", name, out.W, out.H)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // display resolution, rounded to bytes once: at exactly 2× the row-cached
 // kernel of vmath.Upscale2xInto. On codec-decoded frames no sharpen on
 // top of it measured above plain bilinear (DESIGN.md §10), so in this
-// reproduction the deadline tier's SR is a bilinear upsample, with no
+// reproduction the client's SR is a bilinear upsample, with no
 // temporal state to warp.
 //
 // The head is stateless across frames: Reset only frees scratch, and the

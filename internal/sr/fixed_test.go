@@ -144,7 +144,7 @@ func TestFastUpscaleZeroPlaneAllocsWarm(t *testing.T) {
 }
 
 // BenchmarkFastUpscale1080p times the 540p → 1080p call the client's
-// fixed tier makes: UpscaleInto on float planes.
+// SR stage makes: UpscaleInto on float planes.
 func BenchmarkFastUpscale1080p(b *testing.B) {
 	const lrW, lrH, outW, outH = 960, 540, 1920, 1080
 	lr := randomLR(lrW, lrH, 5)

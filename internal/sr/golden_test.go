@@ -45,7 +45,7 @@ func TestFastUpscaleGolden(t *testing.T) {
 }
 
 // goldenFastFloat pins FastUpscaler.Upscale's float output — the path the
-// client's fixed tier runs — on rendered frames and on noisy float inputs
+// client runs — on rendered frames and on noisy float inputs
 // with fractional values outside [0, 255], at the play geometry, small and
 // odd 2× geometries and one non-2× ratio. The digests were computed when
 // the head's LR sharpen was deleted, from the sharpen-free path it

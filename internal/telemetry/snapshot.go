@@ -20,7 +20,10 @@ import (
 // v5: removed the tier.switches and tier.probes counters with the tier
 // governor; every client is pinned to one tier and counts each frame
 // under it in tier.float_frames or tier.fixed_frames.
-const SnapshotSchema = 5
+// v6: removed the tier.float_frames and tier.fixed_frames counters with
+// the float tier; every client runs the byte path, and the deadline block
+// already counts its frames.
+const SnapshotSchema = 6
 
 // StageStats is one stage's aggregate in a Snapshot. All times are
 // milliseconds of wall clock.

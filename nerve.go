@@ -76,7 +76,7 @@ func SSIM(ref, dist *Plane) float64 { return metrics.SSIM(ref, dist) }
 // ---- System engine (Fig. 5) ----
 
 // Server encodes frames and extracts binary point codes; Client is the
-// mobile engine that decodes, recovers and super-resolves.
+// mobile engine that decodes, recovers and super-resolves on byte planes.
 type (
 	Server       = core.Server
 	ServerConfig = core.ServerConfig
@@ -92,17 +92,6 @@ func NewServer(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
 
 // NewClient builds a client engine.
 func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
-
-// Tier is the client's kernel tier (ClientConfig.Tier): TierFloat (the
-// zero value) or TierFixed, pinned for every frame.
-type Tier = core.Tier
-
-const (
-	TierFloat = core.TierFloat
-	TierFixed = core.TierFixed
-	// Deprecated: TierAuto is TierFixed; use TierFixed.
-	TierAuto = core.TierAuto
-)
 
 // ---- Standalone components ----
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"nerve/internal/core"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -43,8 +45,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeFixedTier: root-package callers pin the fixed kernel tier
-// through the exported Tier aliases.
+// TestFacadeFixedTier: a root-package client built from a ClientConfig
+// with no tier runs the byte path, the only tier there is.
 func TestFacadeFixedTier(t *testing.T) {
 	const w, h = 160, 96
 	gen := NewGenerator(Categories()[3], 1)
@@ -52,7 +54,7 @@ func TestFacadeFixedTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := NewClient(ClientConfig{W: w, H: h, EnableRecovery: true, Tier: TierFixed})
+	cli, err := NewClient(ClientConfig{W: w, H: h, EnableRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +67,8 @@ func TestFacadeFixedTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Tier != TierFixed {
-			t.Fatalf("frame %d ran in tier %v, want %v", i, res.Tier, TierFixed)
+		if res.Tier != core.TierFixed {
+			t.Fatalf("frame %d ran in tier %v, want %v", i, res.Tier, core.TierFixed)
 		}
 	}
 }
